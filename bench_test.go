@@ -325,7 +325,7 @@ func BenchmarkStreamVarOpt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st, _ := varopt.NewStream(1000, r)
 		for j, w := range ws {
-			_ = st.Process(j, w)
+			_, _ = st.Process(j, w)
 		}
 	}
 	b.SetBytes(int64(len(ws)) * 8)

@@ -32,8 +32,8 @@ func sameSummary(t *testing.T, got, want *Summary, label string) {
 // and finalized; (2) the snapshotted Builder keeps ingesting, and its
 // Finalize is bit-identical to a fresh Builder fed the whole stream — the
 // snapshot left no trace. The buffer is far smaller than the stream, so
-// both reservoir overflow and arena compaction happen on each side of the
-// snapshot point.
+// both reservoir overflow and coordinate-slot reuse happen on each side of
+// the snapshot point.
 func TestBuilderSnapshotDeterminism(t *testing.T) {
 	ds := make2D(t, 4000, 14, 53)
 	half := ds.Len() / 2

@@ -9,17 +9,21 @@
 //     retains a mergeable sample of everything pushed so far, with its own
 //     IPPS threshold τ₀ (0 until the reservoir overflows);
 //   - optionally, the retained items' coordinates, kept in a flat columnar
-//     slot arena that is compacted in lockstep with the reservoir so memory
-//     stays O(capacity) regardless of stream length; and
+//     arena of exactly Capacity+1 slots: the reservoir holds at most
+//     Capacity items, and the one spare slot stages each arrival until the
+//     reservoir decides whether to keep it. The reservoir's items are slot
+//     numbers, and the slot of whichever item it drops goes straight back to
+//     the free list, so memory stays O(capacity) regardless of stream
+//     length with no sweeps; and
 //   - optionally, the streaming IPPS threshold τ_s for a separate target
 //     size (the paper's Algorithm 4), which the two-pass construction of §5
 //     needs alongside its guide sample.
 //
 // The per-key path is allocation-free in steady state: coordinate slots are
-// recycled through a free list, compaction reuses persistent radix-sort
-// scratch, and weight validation is scalar. Columnar batches (PushBatch,
-// PushWeights) avoid even the per-key point materialization, which is how
-// the dataset-backed and batch-file paths feed the pipeline.
+// recycled through the free list, and weight validation is scalar. A key
+// the reservoir rejects on arrival never touches the arena. Columnar batches
+// (PushBatch, PushWeights) avoid even the per-key point materialization,
+// which is how the dataset-backed and batch-file paths feed the pipeline.
 //
 // Consumers: core.Builder (streaming public API), the two-pass constructions
 // (guide-sample pass), and — via the dataset-backed fast path in
@@ -64,28 +68,22 @@ type Config struct {
 type Ingester struct {
 	stream *varopt.Stream
 	thr    *ipps.StreamThreshold
-	cap    int
 	dims   int
 	rows   int
 	done   bool
 
-	// Columnar coordinate retention (dims > 0 only). Slot s holds the
-	// coordinates of one pushed key at coords[s*dims : (s+1)*dims] and its
-	// row index in slotRows[s] (-1 when free). Slots are recycled through
-	// freeSlots; when live slots reach maxSlots the non-reservoir ones are
-	// swept back to the free list.
+	// Columnar coordinate retention (dims > 0 only). The arena has
+	// Capacity+1 slots and the reservoir item index is the slot number.
+	// Slot s holds the coordinates of one pushed key at
+	// coords[s*dims : (s+1)*dims] and its row index in slotRows[s]. Slots
+	// the reservoir does not hold are on freeSlots, whose top stages the
+	// next arrival.
 	slotRows  []int
 	coords    []uint64
 	freeSlots []int32
-	live      int
 
-	// Persistent compaction scratch: the reservoir snapshot and the sorted
-	// kept-row list, plus the radix scratch both sorts share.
-	itemsBuf []varopt.StreamItem
-	keepBuf  []int
-	sortScr  xsort.Scratch
-
-	// Row directory over live slots, built by Guide for Point lookups.
+	// Row directory over the reservoir's slots, built by Guide for Point
+	// lookups.
 	dirRows  []uint64
 	dirSlots []int32
 }
@@ -99,25 +97,23 @@ func New(cfg Config, r xmath.Rand) (*Ingester, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Ingester{stream: stream, cap: cfg.Capacity, dims: cfg.Dims}
+	g := &Ingester{stream: stream, dims: cfg.Dims}
 	if cfg.ThresholdSize > 0 {
 		if g.thr, err = ipps.NewStreamThreshold(cfg.ThresholdSize); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.Dims > 0 {
-		slots := g.maxSlots()
-		g.slotRows = make([]int, 0, slots)
-		g.coords = make([]uint64, 0, slots*cfg.Dims)
-		g.freeSlots = make([]int32, 0, slots)
+		slots := cfg.Capacity + 1
+		g.slotRows = make([]int, slots)
+		g.coords = make([]uint64, slots*cfg.Dims)
+		g.freeSlots = make([]int32, slots)
+		for i := range g.freeSlots {
+			g.freeSlots[i] = int32(slots - 1 - i) // slot 0 on top
+		}
 	}
 	return g, nil
 }
-
-// maxSlots is the coordinate-arena size at which compaction runs: with a
-// reservoir of cap keys live, a 4× arena leaves 3×cap pushes between
-// sweeps, amortizing each sweep to O(1) work per key.
-func (g *Ingester) maxSlots() int { return 4 * g.cap }
 
 // Push consumes one weighted key. The row index assigned to the key is the
 // number of prior Push calls, so dataset-backed callers pushing rows in
@@ -135,14 +131,11 @@ func (g *Ingester) Push(pt []uint64, w float64) error {
 		//sasvet:ok rejection path; a malformed point never reaches the per-row loop
 		return fmt.Errorf("ingest: point has %d dims, want %d", len(pt), g.dims)
 	}
-	if err := g.pushWeight(w); err != nil {
-		return err
-	}
-	if w != 0 && g.dims > 0 {
-		slot := g.takeSlot()
+	slot, err := g.pushWeight(w)
+	if slot >= 0 {
 		copy(g.coords[slot*g.dims:(slot+1)*g.dims], pt)
 	}
-	return nil
+	return err
 }
 
 // PushBatch consumes a columnar batch: cols[d][i] is key i's coordinate on
@@ -166,11 +159,11 @@ func (g *Ingester) PushBatch(cols [][]uint64, weights []float64) error {
 		}
 	}
 	for i, w := range weights {
-		if err := g.pushWeight(w); err != nil {
+		slot, err := g.pushWeight(w)
+		if err != nil {
 			return err
 		}
-		if w != 0 && g.dims > 0 {
-			slot := g.takeSlot()
+		if slot >= 0 {
 			base := slot * g.dims
 			for d := range cols {
 				g.coords[base+d] = cols[d][i]
@@ -193,7 +186,7 @@ func (g *Ingester) PushWeights(weights []float64) error {
 		return errNoCoords
 	}
 	for _, w := range weights {
-		if err := g.pushWeight(w); err != nil {
+		if _, err := g.pushWeight(w); err != nil {
 			return err
 		}
 	}
@@ -201,72 +194,41 @@ func (g *Ingester) PushWeights(weights []float64) error {
 }
 
 // pushWeight runs the weight through the threshold tracker and reservoir,
-// assigning the next row index.
-func (g *Ingester) pushWeight(w float64) error {
-	index := g.rows
+// assigning the next row index. On a coordinate-tracking Ingester the
+// reservoir item is the staging slot on top of the free list; pushWeight
+// returns that slot when the reservoir kept the key, so the caller fills in
+// its coordinates, and returns the dropped item's slot to the free list.
+// Otherwise it returns -1.
+func (g *Ingester) pushWeight(w float64) (int, error) {
+	row := g.rows
 	g.rows++
 	if g.thr != nil {
 		if err := g.thr.Process(w); err != nil {
-			return err
+			return -1, err
 		}
 	} else if err := ipps.ValidateWeight(w); err != nil {
-		return err
+		return -1, err
 	}
 	if w == 0 {
-		return nil
+		return -1, nil
 	}
-	return g.stream.Process(index, w)
-}
-
-// takeSlot claims a coordinate slot for the row just pushed (g.rows-1),
-// sweeping stale slots first when the arena is full.
-func (g *Ingester) takeSlot() int {
-	if g.live >= g.maxSlots() {
-		g.compact()
+	if g.dims == 0 {
+		_, err := g.stream.Process(row, w)
+		return -1, err
 	}
-	var slot int
-	if n := len(g.freeSlots); n > 0 {
-		slot = int(g.freeSlots[n-1])
-		g.freeSlots = g.freeSlots[:n-1]
-	} else {
-		slot = len(g.slotRows)
-		g.slotRows = append(g.slotRows, 0)
-		if need := (slot + 1) * g.dims; cap(g.coords) >= need {
-			g.coords = g.coords[:need] // pre-sized by New: no allocation
-		} else {
-			g.coords = append(g.coords, make([]uint64, g.dims)...)
-		}
+	top := len(g.freeSlots) - 1
+	slot := int(g.freeSlots[top])
+	dropped, err := g.stream.Process(slot, w)
+	switch {
+	case err != nil || dropped == slot:
+		return -1, err
+	case dropped < 0:
+		g.freeSlots = g.freeSlots[:top]
+	default:
+		g.freeSlots[top] = int32(dropped)
 	}
-	g.slotRows[slot] = g.rows - 1
-	g.live++
-	return slot
-}
-
-// compact frees the slots of rows no longer held by the reservoir. All
-// scratch is persistent, so steady-state compaction does not allocate.
-func (g *Ingester) compact() {
-	items := g.stream.AppendItems(g.itemsBuf[:0])
-	g.itemsBuf = items[:0]
-	keep := g.keepBuf[:0]
-	for _, it := range items {
-		keep = append(keep, it.Index)
-	}
-	xsort.Ints(keep, &g.sortScr)
-	g.keepBuf = keep[:0]
-	for s, row := range g.slotRows {
-		if row < 0 || sortedContains(keep, row) {
-			continue
-		}
-		g.slotRows[s] = -1
-		g.freeSlots = append(g.freeSlots, int32(s))
-		g.live--
-	}
-}
-
-// sortedContains reports whether x occurs in the ascending slice a.
-func sortedContains(a []int, x int) bool {
-	i := sort.SearchInts(a, x)
-	return i < len(a) && a[i] == x
+	g.slotRows[slot] = row
+	return slot, nil
 }
 
 // Snapshot returns a deep copy of the ingestion state — reservoir,
@@ -282,10 +244,8 @@ func (g *Ingester) Snapshot(r xmath.Rand) (*Ingester, error) {
 	}
 	cl := &Ingester{
 		stream: g.stream.Clone(r),
-		cap:    g.cap,
 		dims:   g.dims,
 		rows:   g.rows,
-		live:   g.live,
 	}
 	if g.thr != nil {
 		cl.thr = g.thr.Clone()
@@ -320,29 +280,29 @@ func (g *Ingester) Tau() (float64, bool) {
 // pushes are rejected once Guide has been called.
 func (g *Ingester) Guide() (items []varopt.StreamItem, tau0 float64) {
 	g.done = true
-	if g.dims > 0 {
-		g.compact()
-		g.buildDirectory()
-	}
 	sm, items := g.stream.Result()
+	if g.dims > 0 {
+		g.slotsToRows(items)
+	}
 	return items, sm.Tau
 }
 
-// buildDirectory indexes the live slots by row for Point lookups.
-func (g *Ingester) buildDirectory() {
-	n := g.live
-	rows := make([]uint64, 0, n)
-	slots := make([]int32, 0, n)
-	for s, row := range g.slotRows {
-		if row >= 0 {
-			rows = append(rows, uint64(row))
-			slots = append(slots, int32(s))
-		}
+// slotsToRows rewrites the reservoir items' indices from arena slots to
+// row indices, sorts them ascending by row, and records the sorted
+// row → slot pairs as the directory Point searches.
+func (g *Ingester) slotsToRows(items []varopt.StreamItem) {
+	n := len(items)
+	rows := make([]uint64, n)
+	for i, it := range items {
+		rows[i] = uint64(g.slotRows[it.Index])
 	}
-	tmpRows := make([]uint64, len(rows))
-	tmpSlots := make([]int32, len(slots))
 	var counts [256]int
-	xsort.SortPairs(rows, slots, tmpRows, tmpSlots, &counts)
+	xsort.SortPairs(rows, items, make([]uint64, n), make([]varopt.StreamItem, n), &counts)
+	slots := make([]int32, n)
+	for i := range items {
+		slots[i] = int32(items[i].Index)
+		items[i].Index = int(rows[i])
+	}
 	g.dirRows, g.dirSlots = rows, slots
 }
 

@@ -52,8 +52,8 @@ func TestOverflowBoundsMemoryAndThreshold(t *testing.T) {
 		if err := g.Push([]uint64{uint64(i)}, ws[i]); err != nil {
 			t.Fatal(err)
 		}
-		if g.live > g.maxSlots() {
-			t.Fatalf("row %d: %d live coordinate slots, compaction failed", i, g.live)
+		if inUse := len(g.slotRows) - len(g.freeSlots); inUse != g.stream.Len() {
+			t.Fatalf("row %d: %d coordinate slots in use for %d reservoir items", i, inUse, g.stream.Len())
 		}
 	}
 	items, tau0 := g.Guide()
@@ -63,8 +63,11 @@ func TestOverflowBoundsMemoryAndThreshold(t *testing.T) {
 	if tau0 <= 0 {
 		t.Fatalf("tau0 %v want > 0 after overflow", tau0)
 	}
-	if g.live != capacity {
-		t.Fatalf("%d coordinate slots live after Guide, want %d", g.live, capacity)
+	if len(g.slotRows) != capacity+1 || len(g.coords) != capacity+1 {
+		t.Fatalf("arena %d slots (%d coords), want exactly %d", len(g.slotRows), len(g.coords), capacity+1)
+	}
+	if len(g.dirSlots) != capacity {
+		t.Fatalf("%d coordinate slots indexed after Guide, want %d", len(g.dirSlots), capacity)
 	}
 	for _, it := range items {
 		if pt, ok := g.Point(it.Index); !ok || pt[0] != uint64(it.Index) {

@@ -52,8 +52,8 @@ func sameGuide(t *testing.T, got, want *Ingester, label string) {
 // exactly the state a fresh ingester fed the same prefix would, the
 // original keeps ingesting unaffected, and its final Guide equals a fresh
 // ingester fed the whole stream. Stream length (4000 keys into a capacity
-// 150 reservoir) forces several arena compactions on both sides of the
-// snapshot point.
+// 150 reservoir) forces many evictions, and so slot reuse, on both sides of
+// the snapshot point.
 func TestSnapshotDoesNotConsume(t *testing.T) {
 	const capacity, half = 150, 2000
 	cfg := Config{Capacity: capacity, Dims: 2, ThresholdSize: 50}

@@ -48,8 +48,8 @@ func ProductStream(src Source, axes []structure.Axis, s int, cfg Config, r xmath
 	sPrime := cfg.oversample() * s
 
 	// ---- Pass 1: guide reservoir (with retained coordinates) + τ_s,
-	// through the shared ingestion pipeline. The ingester compacts retained
-	// coordinates in lockstep with its reservoir, so memory stays O(s′).
+	// through the shared ingestion pipeline. The ingester frees an evicted
+	// key's coordinate slot at once, so memory stays O(s′).
 	ing, err := ingest.New(ingest.Config{Capacity: sPrime, Dims: len(axes), ThresholdSize: s}, r)
 	if err != nil {
 		return nil, err

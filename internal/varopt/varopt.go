@@ -151,18 +151,21 @@ func (st *Stream) Seen() int { return st.seen }
 // Tau returns the current threshold (0 until the reservoir overflows).
 func (st *Stream) Tau() float64 { return st.tau }
 
-// Process consumes one item. Zero-weight items are ignored; negative or
-// non-finite weights are rejected. Steady-state calls are allocation-free:
-// the demotion buffer is reused and the heap and light pools are bounded by
-// the capacity.
+// Process consumes one item and returns the index of the item it dropped:
+// -1 while the reservoir is still filling (and for ignored or rejected
+// items), otherwise exactly one of the arriving item, a demoted item, or an
+// old light item — whichever left the reservoir. Zero-weight items are
+// ignored; negative or non-finite weights are rejected. Steady-state calls
+// are allocation-free: the demotion buffer is reused and the heap and light
+// pools are bounded by the capacity.
 //
 //sasvet:hotpath
-func (st *Stream) Process(index int, w float64) error {
+func (st *Stream) Process(index int, w float64) (int, error) {
 	if err := ipps.ValidateWeight(w); err != nil {
-		return err
+		return -1, err
 	}
 	if w == 0 {
-		return nil
+		return -1, nil
 	}
 	st.seen++
 	demoted := st.scratch[:0]
@@ -177,7 +180,7 @@ func (st *Stream) Process(index int, w float64) error {
 	} else {
 		st.heavy.push(StreamItem{Index: index, Weight: w})
 		if len(st.heavy)+len(st.light) <= st.k {
-			return nil
+			return -1, nil
 		}
 	}
 
@@ -201,7 +204,7 @@ func (st *Stream) Process(index int, w float64) error {
 	}
 	if t < 2 {
 		//sasvet:ok invariant-violation path; allocating while failing loudly is fine
-		return fmt.Errorf("varopt: internal error, %d small candidates", t)
+		return -1, fmt.Errorf("varopt: internal error, %d small candidates", t)
 	}
 	tauNew := L / float64(t-1)
 
@@ -221,15 +224,19 @@ func (st *Stream) Process(index int, w float64) error {
 		}
 		u -= dp
 	}
+	var evicted int
 	if dropped >= 0 {
+		evicted = demoted[dropped].Index
 		demoted = append(demoted[:dropped], demoted[dropped+1:]...)
 	} else if len(st.light) > 0 {
 		j := int(st.r.Uint64() % uint64(len(st.light)))
+		evicted = st.light[j].Index
 		st.light[j] = st.light[len(st.light)-1]
 		st.light = st.light[:len(st.light)-1]
 	} else {
 		// Numerically the drop probabilities sum to 1; if rounding left us
 		// here, drop the last demoted item (probability O(eps) event).
+		evicted = demoted[len(demoted)-1].Index
 		demoted = demoted[:len(demoted)-1]
 	}
 	st.light = append(st.light, demoted...)
@@ -237,9 +244,9 @@ func (st *Stream) Process(index int, w float64) error {
 	st.tau = tauNew
 	if len(st.heavy)+len(st.light) != st.k {
 		//sasvet:ok invariant-violation path; allocating while failing loudly is fine
-		return fmt.Errorf("varopt: reservoir size %d want %d", len(st.heavy)+len(st.light), st.k)
+		return -1, fmt.Errorf("varopt: reservoir size %d want %d", len(st.heavy)+len(st.light), st.k)
 	}
-	return nil
+	return evicted, nil
 }
 
 // Len returns the number of items currently held by the reservoir.
@@ -264,15 +271,6 @@ func (st *Stream) Clone(r xmath.Rand) *Stream {
 	copy(cl.heavy, st.heavy)
 	copy(cl.light, st.light)
 	return cl
-}
-
-// AppendItems appends the reservoir contents to dst (in internal, unsorted
-// order) and returns it — the allocation-free counterpart of Result for
-// callers that only need the retained items, e.g. the ingestion pipeline's
-// coordinate compaction.
-func (st *Stream) AppendItems(dst []StreamItem) []StreamItem {
-	dst = append(dst, st.heavy...)
-	return append(dst, st.light...)
 }
 
 // Result returns the reservoir contents as a Sample plus the items' original

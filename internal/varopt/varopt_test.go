@@ -147,7 +147,7 @@ func TestStreamExactSizeAndValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range ws {
-		if err := st.Process(i, w); err != nil {
+		if _, err := st.Process(i, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestStreamUnbiasedTotal(t *testing.T) {
 	for k := 0; k < trials; k++ {
 		st, _ := NewStream(20, r)
 		for i, w := range ws {
-			if err := st.Process(i, w); err != nil {
+			if _, err := st.Process(i, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -214,7 +214,7 @@ func TestStreamInclusionMatchesIPPS(t *testing.T) {
 	for k := 0; k < trials; k++ {
 		st, _ := NewStream(s, r)
 		for i, w := range ws {
-			if err := st.Process(i, w); err != nil {
+			if _, err := st.Process(i, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,7 +239,7 @@ func TestStreamTauMatchesBatchThreshold(t *testing.T) {
 	r := xmath.NewRand(9)
 	st, _ := NewStream(5, r)
 	for i := 0; i < 50; i++ {
-		if err := st.Process(i, 1); err != nil {
+		if _, err := st.Process(i, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestStreamFewerItemsThanCapacity(t *testing.T) {
 	r := xmath.NewRand(10)
 	st, _ := NewStream(10, r)
 	for i := 0; i < 4; i++ {
-		if err := st.Process(i, float64(i+1)); err != nil {
+		if _, err := st.Process(i, float64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,13 +270,13 @@ func TestStreamFewerItemsThanCapacity(t *testing.T) {
 
 func TestStreamRejectsBadWeights(t *testing.T) {
 	st, _ := NewStream(2, xmath.NewRand(11))
-	if err := st.Process(0, -5); err == nil {
+	if _, err := st.Process(0, -5); err == nil {
 		t.Fatal("negative weight must error")
 	}
-	if err := st.Process(0, math.NaN()); err == nil {
+	if _, err := st.Process(0, math.NaN()); err == nil {
 		t.Fatal("NaN weight must error")
 	}
-	if err := st.Process(0, 0); err != nil {
+	if _, err := st.Process(0, 0); err != nil {
 		t.Fatal("zero weight should be skipped silently")
 	}
 	if st.Seen() != 0 {
@@ -314,7 +314,7 @@ func TestStreamSubsetUnbiased(t *testing.T) {
 	for k := 0; k < trials; k++ {
 		st, _ := NewStream(25, r)
 		for i, w := range ws {
-			if err := st.Process(i, w); err != nil {
+			if _, err := st.Process(i, w); err != nil {
 				t.Fatal(err)
 			}
 		}
