@@ -77,7 +77,7 @@ BACKENDSCALE ?= 0.05
 BACKENDSIZE ?= 1000
 
 # Time budget for the ingest-plane benchmarks (each iteration streams 2^18
-# keys through a socket or HTTP server; 2s gives stable keys/s).
+# keys through an HTTP server into the builders; 2s gives stable keys/s).
 INGESTBENCHTIME ?= 2s
 
 # Requests per (mix, concurrency) cell of the concurrent serving benchmark;
@@ -86,8 +86,9 @@ INGESTBENCHTIME ?= 2s
 LOADBENCHTIME ?= 3000x
 
 # Record the benchmark trajectory: run the key build/query benchmarks, the
-# ingest-plane transport benchmarks (including BenchmarkIngestWAL, which
-# prices each -wal-sync durability policy against the no-WAL baseline),
+# ingest-plane benchmarks (HTTP frame and JSON bodies, plus
+# BenchmarkIngestWAL, which prices each -wal-sync durability policy on the
+# frame path against the no-WAL baseline),
 # the concurrent serving benchmark (qps + latency percentiles per query
 # mix, including the answer-cache hot/hot-nocache pair), and the
 # head-to-head backend comparison (sasbench -backends), and emit

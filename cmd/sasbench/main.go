@@ -7,7 +7,7 @@
 //	sasbench -exp fig2a [-scale 0.1] [-queries 50] [-seed 1] [-o out.tsv]
 //	sasbench -exp all -scale 0.05
 //	sasbench -backends backends.json [-backend-size 1000] [-scale 0.05]
-//	sasbench -ingest 127.0.0.1:9401 -ingest-name flows [-ingest-keys 1000000]
+//	sasbench -ingest http://127.0.0.1:8337 -ingest-name flows [-ingest-keys 1000000]
 //	sasbench -load http://127.0.0.1:8337 -load-name net [-load-mix area,hot]
 //	          [-load-conc 4,16] [-load-duration 3s] [-load-out load.json]
 //	sasbench -list
@@ -24,10 +24,11 @@
 // throughput — written as JSON (see internal/expt.BackendsReport).
 // `make bench-json` embeds this document in the recorded trajectory.
 //
-// -ingest floods a sasserve -ingest-listen socket (host:port or
-// unix:/path) with binary frames of seeded synthetic keys and reports the
-// server-acknowledged throughput. It doubles as a load generator for the
-// smoke script's back-pressure probe.
+// -ingest floods a running sasserve (base URL http://host:port) with
+// binary frames of seeded synthetic keys, one POST
+// /v1/summaries/{name}/keys per frame, honoring 429 + Retry-After, and
+// reports the acknowledged throughput. It doubles as a load generator for
+// the smoke script's back-pressure probe.
 //
 // -load is the read-side counterpart: replay seeded query mixes against a
 // running sasserve at each -load-conc concurrency level for -load-duration,
@@ -67,7 +68,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker cap for the 'par' experiment (0 = all CPUs)")
 		backends = flag.String("backends", "", "write the head-to-head backend comparison as JSON to this file ('-' = stdout)")
 		beSize   = flag.Int("backend-size", 1000, "element budget per backend in the -backends comparison")
-		ingest   = flag.String("ingest", "", "flood a sasserve ingest socket (host:port or unix:/path) with binary frames")
+		ingest   = flag.String("ingest", "", "flood a sasserve base URL (http://host:port) with binary frames")
 		ingName  = flag.String("ingest-name", "flows", "live summary name to push to in -ingest mode")
 		ingKeys  = flag.Int("ingest-keys", 1_000_000, "total keys to push in -ingest mode")
 		ingBatch = flag.Int("ingest-batch", 4096, "keys per frame in -ingest mode")
@@ -100,7 +101,8 @@ func main() {
 		cliutil.Positive("-ingest-bits", *ingBits),
 	))
 	if *ingest != "" {
-		tool.Check(runIngest(*ingest, *ingName, *ingKeys, *ingBatch, *ingDims, *ingBits, *seed))
+		tool.CheckUsage(checkBaseURL("-ingest", *ingest))
+		tool.Check(runIngestHTTP(*ingest, *ingName, *ingKeys, newKeyGen(*seed, *ingDims, *ingBits, *ingBatch)))
 		return
 	}
 	if *load != "" {
@@ -160,47 +162,20 @@ func main() {
 	}
 }
 
-// runIngest pushes n seeded heavy-tailed keys to a sasserve ingest endpoint
-// in binary frames and prints the server-acknowledged rate. A host:port or
-// unix:/path address targets the raw -ingest-listen socket, whose
-// back-pressure means the reported keys/s is end-to-end ingest throughput;
-// an http:// base URL posts the same frames to /v1/summaries/{name}/keys,
-// honoring 429 + Retry-After by backing off and resending.
-func runIngest(addr, name string, n, batch, dims, bits int, seed uint64) error {
-	gen := newKeyGen(seed, dims, bits, batch)
-	if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
-		return runIngestHTTP(addr, name, n, gen)
+// checkBaseURL validates a flag naming a sasserve base URL: only http://
+// and https:// targets exist.
+func checkBaseURL(flag, addr string) error {
+	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
+		return fmt.Errorf("%s must be a sasserve base URL (http://host:port), got %q", flag, addr)
 	}
-	// A restarting server refuses or resets the dial for the moment the
-	// listener is down; ride it out with a few jittered retries instead of
-	// failing a whole ingest run on a blip.
-	c, err := wire.DialRetry(addr, name, 5, nil)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	start := time.Now()
-	for sent := 0; sent < n; sent += gen.batch {
-		cols, ws := gen.next(min(gen.batch, n-sent))
-		if err := c.Send(cols, ws); err != nil {
-			return err
-		}
-	}
-	stats, err := c.Close()
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("ingest %s: %d keys in %d frames, weight %.6g, %v (%.0f keys/s)\n",
-		stats.Summary, stats.Keys, stats.Frames, gen.total,
-		elapsed.Round(time.Millisecond), float64(stats.Keys)/elapsed.Seconds())
 	return nil
 }
 
-// runIngestHTTP posts the generated stream as application/x-sas-frame
-// bodies, retrying each frame on 429 after the advertised Retry-After —
-// or, when the server sends no usable hint, after a capped exponential
-// backoff with jitter whose first wait is never below one second.
+// runIngestHTTP pushes n seeded heavy-tailed keys to a sasserve live
+// summary as application/x-sas-frame bodies and prints the acknowledged
+// rate, retrying each frame on 429 after the advertised Retry-After — or,
+// when the server sends no usable hint, after a capped exponential backoff
+// with jitter whose first wait is never below one second.
 func runIngestHTTP(base, name string, n int, gen *keyGen) error {
 	url := strings.TrimRight(base, "/") + "/v1/summaries/" + name + "/keys"
 	keys, frames, retries := 0, 0, 0

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"structaware/internal/cliutil"
 )
 
 // TestIngestHTTPHonorsRetryAfter pins the client half of the back-pressure
@@ -46,6 +48,26 @@ func TestIngestHTTPHonorsRetryAfter(t *testing.T) {
 	for _, d := range slept {
 		if d < time.Second {
 			t.Fatalf("backoff %v below the 1s floor — hot loop", d)
+		}
+	}
+}
+
+// TestIngestRequiresBaseURL: -ingest speaks HTTP only, so a bare
+// host:port (or unix:/path) is a usage error — exit 2, naming the flag —
+// not a runtime dial failure.
+func TestIngestRequiresBaseURL(t *testing.T) {
+	for _, addr := range []string{"127.0.0.1:8337", "unix:ingest.sock", "localhost", "ftp://h:1"} {
+		var stderr strings.Builder
+		code := -1
+		tool := &cliutil.Tool{Name: "sasbench", Stderr: &stderr, Exit: func(c int) { code = c }}
+		tool.CheckUsage(checkBaseURL("-ingest", addr))
+		if code != 2 || !strings.Contains(stderr.String(), "-ingest") {
+			t.Errorf("-ingest %q: exit %d, stderr %q; want exit 2 naming -ingest", addr, code, stderr.String())
+		}
+	}
+	for _, addr := range []string{"http://127.0.0.1:8337", "https://example.test/"} {
+		if err := checkBaseURL("-ingest", addr); err != nil {
+			t.Errorf("-ingest %q rejected: %v", addr, err)
 		}
 	}
 }

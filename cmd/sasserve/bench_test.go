@@ -1,7 +1,7 @@
 package main
 
-// Ingest-plane benchmarks: the same 2^18-key stream pushed through the
-// binary frame socket, the HTTP frame body, and the HTTP JSON body, all
+// Ingest-plane benchmarks: the same 2^18-key stream pushed as HTTP frame
+// bodies (with and without a write-ahead log) and as HTTP JSON bodies, all
 // reported in keys/s so they compare directly with the root
 // BenchmarkBuilderPushBatch ceiling (the in-process PushBatch rate the
 // transports are trying to approach). Run with
@@ -56,17 +56,19 @@ func ingestFixture(b *testing.B) ([][]uint64, []float64) {
 
 // benchLiveStore builds a single-shard live store with the root benchmark's
 // summary size, with queue depth comfortably above the frames in flight so
-// the HTTP benchmarks measure throughput, not 429 shedding.
-func benchLiveStore(b *testing.B) *store {
+// the HTTP benchmarks measure throughput, not 429 shedding. A non-empty dir
+// is the snapshot directory, where pol decides whether a WAL is kept.
+func benchLiveStore(b *testing.B, dir string, pol wal.Policy) *store {
 	b.Helper()
 	st := newStore(nil, 4096, func(string, ...any) {})
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
-		liveConfig{size: 4096, seed: 1, shards: 1, queue: 4096},
+		liveConfig{size: 4096, seed: 1, shards: 1, queue: 4096, dir: dir, walSync: pol},
 	)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(st.closeWALs)
 	b.Cleanup(st.closeLive)
 	return st
 }
@@ -83,46 +85,27 @@ func frameSlices(coords [][]uint64, weights []float64) ([][][]uint64, [][]float6
 	return cs, ws
 }
 
-// BenchmarkIngestWire drives the fixture over a real TCP socket as binary
-// frames, one Dial per iteration, with the end-of-stream ack inside the
-// timed region — the full wire-ingest round trip, client encode to builder
-// push.
-func BenchmarkIngestWire(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
-	st := benchLiveStore(b)
-	is, err := listenIngest(st, "127.0.0.1:0", func(string, ...any) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(is.close)
-	addr := is.addr().String()
-	b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(ws)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := wire.Dial(addr, "net")
+// frameBodies encodes the fixture as one binary frame per window.
+func frameBodies(b *testing.B) [][]byte {
+	b.Helper()
+	cs, ws := frameSlices(ingestFixture(b))
+	var bodies [][]byte
+	for f := range ws {
+		frame, err := wire.AppendFrame(nil, cs[f], ws[f])
 		if err != nil {
 			b.Fatal(err)
 		}
-		for f := range ws {
-			if err := c.Send(cs[f], ws[f]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := c.Close(); err != nil {
-			b.Fatal(err)
-		}
+		bodies = append(bodies, frame)
 	}
-	b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+	return bodies
 }
 
 // benchIngestHTTP posts one pre-encoded body per frame window through the
 // live /keys endpoint, resending a frame the server sheds with 429 after its
 // Retry-After hint. Each iteration ends by quiescing the live summary inside
-// the timed region, so keys/s counts keys through the builder, as the
-// end-of-stream ack does in BenchmarkIngestWire, not just admissions.
-func benchIngestHTTP(b *testing.B, ctype string, bodies [][]byte) {
-	st := benchLiveStore(b)
+// the timed region, so keys/s counts keys through the builder, not just
+// admissions.
+func benchIngestHTTP(b *testing.B, st *store, ctype string, bodies [][]byte) {
 	srv := httptest.NewServer(st.handler())
 	b.Cleanup(srv.Close)
 	url := srv.URL + "/v1/summaries/net/keys"
@@ -168,21 +151,10 @@ func jsonDiscard(resp *http.Response) (int64, error) {
 	}
 }
 
-// BenchmarkIngestHTTPFrame: the same stream as BenchmarkIngestWire, but one
-// frame per HTTP POST — what the binary body saves before leaving HTTP
-// behind entirely.
+// BenchmarkIngestHTTPFrame is the binary ingest path: the fixture as one
+// frame per HTTP POST.
 func BenchmarkIngestHTTPFrame(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
-	var bodies [][]byte
-	for f := range ws {
-		frame, err := wire.AppendFrame(nil, cs[f], ws[f])
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, frame)
-	}
-	benchIngestHTTP(b, frameContentType, bodies)
+	benchIngestHTTP(b, benchLiveStore(b, "", wal.PolicyOff), frameContentType, frameBodies(b))
 }
 
 // BenchmarkIngestHTTPJSON is the pre-existing ingest path and the baseline
@@ -199,7 +171,7 @@ func BenchmarkIngestHTTPJSON(b *testing.B) {
 		}
 		bodies = append(bodies, body)
 	}
-	benchIngestHTTP(b, "application/json", bodies)
+	benchIngestHTTP(b, benchLiveStore(b, "", wal.PolicyOff), "application/json", bodies)
 }
 
 // BenchmarkIngestDecodeJSON isolates the server-side JSON decode +
@@ -240,17 +212,8 @@ func BenchmarkIngestDecodeJSON(b *testing.B) {
 // from binary frames (zero steady-state allocations — the contract pinned
 // by the wire package's AllocsPerRun test).
 func BenchmarkIngestDecodeFrame(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
+	bodies := frameBodies(b)
 	axes := []structure.Axis{structure.BitTrieAxis(10), structure.BitTrieAxis(10)}
-	var bodies [][]byte
-	for f := range ws {
-		frame, err := wire.AppendFrame(nil, cs[f], ws[f])
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, frame)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,53 +231,19 @@ func BenchmarkIngestDecodeFrame(b *testing.B) {
 	b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
-// BenchmarkIngestWAL prices the durability contract on the socket path:
-// the BenchmarkIngestWire stream against a store whose write-ahead log is
-// off (PR 7 behavior — the baseline the 2× acceptance bound is measured
+// BenchmarkIngestWAL prices the durability contract on the frame path:
+// the BenchmarkIngestHTTPFrame stream against a store whose write-ahead log
+// is off (snapshot-only durability — the baseline the 2× bound is measured
 // from), interval (write(2) before every ack, background fsync), and
 // always (fsync before every ack). No rotation happens inside the timed
-// region, so the numbers isolate the per-append WAL cost.
+// region, so the differences isolate the per-append WAL cost.
 func BenchmarkIngestWAL(b *testing.B) {
-	coords, weights := ingestFixture(b)
-	cs, ws := frameSlices(coords, weights)
+	bodies := frameBodies(b)
 	for _, pol := range []wal.Policy{wal.PolicyOff, wal.PolicyInterval, wal.PolicyAlways} {
 		b.Run(pol.String(), func(b *testing.B) {
-			st := newStore(nil, 4096, func(string, ...any) {})
-			err := st.initLive(
-				[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
-				liveConfig{
-					size: 4096, seed: 1, shards: 1, queue: 4096,
-					dir: b.TempDir(), walSync: pol,
-				},
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(st.closeWALs)
-			b.Cleanup(st.closeLive)
-			is, err := listenIngest(st, "127.0.0.1:0", func(string, ...any) {})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(is.close)
-			addr := is.addr().String()
-			b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(ws)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c, err := wire.Dial(addr, "net")
-				if err != nil {
-					b.Fatal(err)
-				}
-				for f := range ws {
-					if err := c.Send(cs[f], ws[f]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := c.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(benchKeys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+			st := benchLiveStore(b, b.TempDir(), pol)
+			b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(bodies)))
+			benchIngestHTTP(b, st, frameContentType, bodies)
 		})
 	}
 }

@@ -29,7 +29,7 @@ import (
 
 // maxIngestBody bounds the POST /keys body. NDJSON runs ~40 bytes per 2-D
 // key and frames 24, so one request carries on the order of 100k keys;
-// heavier traffic should batch across requests or use the ingest socket.
+// heavier traffic is split across requests.
 const maxIngestBody = 8 << 20
 
 // maxKeysPerPush bounds the rows of one ingest batch, mirroring
@@ -99,7 +99,7 @@ func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *live
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := ls.enqueue(batch, false); err != nil {
+	if err := ls.enqueue(batch); err != nil {
 		batch.release()
 		if err == errIngestQueueFull {
 			w.Header().Set("Retry-After", "1")
@@ -119,11 +119,10 @@ func (st *store) handlePushKeys(w http.ResponseWriter, r *http.Request, ls *live
 	fault.Point(faultPostAck)
 }
 
-// validateBatch is the single admission check every transport (HTTP frame,
-// JSON, NDJSON, and the ingest socket) runs before a batch may enter a
-// shard queue: shape, row cap, axis domains, weight validity. Frame
-// decoding already guarantees rectangularity; the JSON paths and any
-// future transports get it checked here.
+// validateBatch is the single admission check every body encoding (HTTP
+// frame, JSON, and NDJSON) runs before a batch may enter a shard queue:
+// shape, row cap, axis domains, weight validity. Frame decoding already
+// guarantees rectangularity; the JSON paths get it checked here.
 func validateBatch(axes []structure.Axis, b *wire.Batch) error {
 	rows := len(b.Weights)
 	if rows == 0 {

@@ -1,19 +1,16 @@
 package main
 
-// Tests for the wire ingest plane: binary frames over HTTP, the sharded
+// Tests for the frame ingest plane: binary frames over HTTP, the sharded
 // live builders behind the /keys endpoint, the bounded-queue 429 contract,
-// and the raw ingest socket.
+// and refusal after shutdown.
 
 import (
 	"bytes"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -290,150 +287,27 @@ func TestIngestQueueFull(t *testing.T) {
 	}
 }
 
-// TestIngestSocket is the raw-listener end-to-end: a client streams frames
-// over TCP and over a unix socket, the Close ack reports exactly what was
-// sent, and the resulting snapshot is bit-identical to an offline Builder
-// fed the same stream.
-func TestIngestSocket(t *testing.T) {
-	for _, network := range []string{"tcp", "unix"} {
-		t.Run(network, func(t *testing.T) {
-			st := liveStore(t, "")
-			listen := "127.0.0.1:0"
-			if network == "unix" {
-				listen = "unix:" + filepath.Join(t.TempDir(), "ingest.sock")
-			}
-			is, err := listenIngest(st, listen, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(is.close)
-			addr := is.addr().String()
-			if network == "unix" {
-				addr = "unix:" + addr
-			}
-
-			c, err := wire.Dial(addr, "net")
-			if err != nil {
-				t.Fatal(err)
-			}
-			coords, weights := genKeys(3000, 61)
-			const per = 500
-			for off := 0; off < len(weights); off += per {
-				cc := [][]uint64{coords[0][off : off+per], coords[1][off : off+per]}
-				if err := c.Send(cc, weights[off:off+per]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			stats, err := c.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Frames != 6 || stats.Keys != 3000 {
-				t.Fatalf("ack %+v, want 6 frames / 3000 keys", stats)
-			}
-
-			if _, err := st.rotate(st.lives["net"], true); err != nil {
-				t.Fatal(err)
-			}
-			axes, err := structure.ParseAxisSpec(liveAxesSpec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := core.NewBuilder(axes, liveTestCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.PushBatch(coords, weights); err != nil {
-				t.Fatal(err)
-			}
-			want, err := b.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, _ := st.get("net")
-			full := structure.Range{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}
-			if math.Float64bits(e.be.EstimateRange(full)) != math.Float64bits(want.EstimateRange(full)) {
-				t.Fatalf("socket-fed snapshot %v, offline builder %v",
-					e.be.EstimateRange(full), want.EstimateRange(full))
-			}
-		})
-	}
-}
-
-// TestIngestSocketErrors: a stream for an unknown summary, and a stream
-// that goes bad mid-way, both end with a Stats line carrying the error and
-// counts of what was ingested before it.
-func TestIngestSocketErrors(t *testing.T) {
+// TestIngestAfterShutdown: once closeLive has stopped the write plane, a
+// frame push is refused with 503 instead of hanging on a closed queue, and
+// the final flush covers exactly the keys acknowledged before the stop.
+func TestIngestAfterShutdown(t *testing.T) {
 	st := liveStore(t, "")
-	is, err := listenIngest(st, "127.0.0.1:0", t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(is.close)
-	addr := is.addr().String()
-
-	// Unknown summary: the hello is answered with an error Stats.
-	c, err := wire.Dial(addr, "nosuch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Close(); err == nil || !strings.Contains(err.Error(), "no live summary") {
-		t.Fatalf("unknown-summary close: %v", err)
-	}
-
-	// A valid frame followed by garbage: the ack reports one ingested
-	// frame and a decode error for the second.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	msg, err := wire.AppendHello(nil, "net")
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err = wire.AppendFrame(msg, [][]uint64{{1, 2}, {3, 4}}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg = append(msg, "garbage-not-a-frame"...)
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	conn.(*net.TCPConn).CloseWrite()
-	raw, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := string(raw)
-	if !strings.Contains(line, `"frames":1`) || !strings.Contains(line, `"keys":2`) || !strings.Contains(line, "frame 1") {
-		t.Fatalf("mid-stream failure ack %q", line)
-	}
-
-	// The one good frame was ingested: it is in the next snapshot.
-	e, err := st.rotate(st.lives["net"], true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.pushed != 2 {
-		t.Fatalf("snapshot covers %d keys, want the 2 from the good frame", e.pushed)
-	}
-
-	// After closeLive, both planes refuse new keys instead of hanging.
-	st.closeLive()
 	srv := httptest.NewServer(st.handler())
 	defer srv.Close()
-	frame, err := wire.AppendFrame(nil, [][]uint64{{1}, {2}}, []float64{1})
+
+	coords, weights := genKeys(100, 91)
+	if code := postFrame(t, srv.URL, coords, weights, nil); code != http.StatusOK {
+		t.Fatalf("pre-shutdown push status %d", code)
+	}
+	st.closeLive()
+	if code := postFrame(t, srv.URL, [][]uint64{{1}, {2}}, []float64{1}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("post-shutdown push status %d, want 503", code)
+	}
+	e, err := st.rotate(st.lives["net"], false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/v1/summaries/net/keys", frameContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown push status %d, want 503", resp.StatusCode)
+	if e == nil || e.pushed != int64(len(weights)) {
+		t.Fatalf("final flush %+v, want %d keys", e, len(weights))
 	}
 }

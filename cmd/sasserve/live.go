@@ -1,14 +1,13 @@
 package main
 
 // live.go is the write side of sasserve: named live summaries accept
-// weighted keys — over HTTP (JSON, NDJSON, or binary frames; see ingest.go)
-// and over the raw ingest socket (socket.go) — into long-lived core.Builders
-// and periodically publish immutable snapshots into the same serving map the
-// file-backed summaries use. The read path never changes: a snapshot
-// rotation compiles a fully-formed index off to the side and swaps the whole
-// entry under the store lock, exactly like a SIGHUP reload, so concurrent
-// queries see either the previous epoch or the new one, never a partial
-// index.
+// weighted keys over HTTP (JSON, NDJSON, or binary frames; see ingest.go)
+// into long-lived core.Builders and periodically publish immutable
+// snapshots into the same serving map the file-backed summaries use. The
+// read path never changes: a snapshot rotation compiles a fully-formed
+// index off to the side and swaps the whole entry under the store lock,
+// exactly like a SIGHUP reload, so concurrent queries see either the
+// previous epoch or the new one, never a partial index.
 //
 // The snapshot write path (writeSnapshotFile) and the WAL hooks make
 // this package part of the durability contract, so the durable analyzer
@@ -24,10 +23,9 @@ package main
 // precisely the disjointness precondition of the paper's mergeable samples —
 // at rotation time the shard snapshots are combined with core.MergeSummaries
 // and the published summary's Horvitz–Thompson estimates stay unbiased for
-// the whole stream. When a shard queue is full the transport pushes back
+// the whole stream. When a shard queue is full the server pushes back
 // instead of buffering without bound: the HTTP endpoint answers 429 with a
-// Retry-After hint, the socket listener stops reading and lets the
-// transport's flow control stall the sender.
+// Retry-After hint.
 //
 // With -snapshot-dir set, every published snapshot is also persisted as a
 // numbered SAS2 file (written to a temp name, then renamed, so a crash
@@ -112,7 +110,7 @@ func (lc liveConfig) walEnabled() bool {
 // defaultIngestQueue is the per-shard pending-batch cap applied when
 // liveConfig.queue is 0: enough to keep a worker busy across transport
 // jitter, small enough that a stalled worker surfaces as backpressure
-// (429 / socket flow control) in well under a second, not as unbounded
+// (429) in well under a second, not as unbounded
 // memory.
 const defaultIngestQueue = 64
 
@@ -138,8 +136,8 @@ const keepSnapshots = 3
 // has been pushed (and with no recovered snapshot to fall back on).
 var errNoLiveData = errors.New("live summary has no data yet")
 
-// errIngestQueueFull reports a non-blocking enqueue against a full shard
-// queue — the HTTP 429 case.
+// errIngestQueueFull reports an enqueue against a full shard queue — the
+// HTTP 429 case.
 var errIngestQueueFull = errors.New("ingest queue is full")
 
 // errIngestStopped reports an enqueue after shutdown began.
@@ -187,7 +185,7 @@ type liveSummary struct {
 	dirty    atomic.Bool   // keys accepted since the last published snapshot
 
 	// wal, when non-nil, logs every accepted batch before its ack. walMu
-	// serializes producers (so the non-blocking capacity check cannot lie:
+	// serializes producers (so the capacity check cannot lie:
 	// only workers consume) and excludes them across the rotation cut (so a
 	// record lands on a well-defined side of every snapshot).
 	walMu sync.Mutex
@@ -205,11 +203,8 @@ type liveSummary struct {
 }
 
 // enqueue routes one validated batch to the next shard round-robin and
-// hands it to that shard's worker, transferring ownership of the batch.
-// block selects the transport's backpressure discipline: the HTTP handler
-// passes false and maps errIngestQueueFull to a 429, the socket listener
-// passes true so a full queue stalls the read loop and the transport's own
-// flow control throttles the sender.
+// hands it to that shard's worker, transferring ownership of the batch. A
+// full queue is errIngestQueueFull, which the HTTP handler maps to a 429.
 //
 // With a WAL, the batch is appended (and made as durable as the sync
 // policy promises) before the queue handoff, all under walMu, which is
@@ -221,16 +216,15 @@ type liveSummary struct {
 // after it passes, the send below cannot block on a full queue for longer
 // than one worker pop (a concurrent quiesce marker may take the last
 // slot).
-func (ls *liveSummary) enqueue(b *ingestBatch, block bool) error {
+func (ls *liveSummary) enqueue(b *ingestBatch) error {
 	sh := ls.shards[ls.next.Add(1)%uint64(len(ls.shards))]
-	// Non-blocking fast path: a full queue answers 429 without touching
-	// walMu. A blocking producer holds walMu across its channel send, so
-	// under sustained back-pressure the lock is held almost continuously —
-	// serializing this check behind it would let the shed-load signal
-	// starve exactly when it matters. The peek is racy (the queue may
-	// drain before a retry), but shedding is advisory; the locked re-check
-	// below is what the accept path actually relies on.
-	if !block && len(sh.q) == cap(sh.q) {
+	// Unlocked fast path: a full queue answers 429 without touching walMu,
+	// which a WAL append (an fsync under -wal-sync=always) can hold for a
+	// while — serializing this check behind it would let the shed-load
+	// signal starve exactly when it matters. The peek is racy (the queue
+	// may drain before a retry), but shedding is advisory; the locked
+	// re-check below is what the accept path actually relies on.
+	if len(sh.q) == cap(sh.q) {
 		return errIngestQueueFull
 	}
 	ls.walMu.Lock()
@@ -240,7 +234,7 @@ func (ls *liveSummary) enqueue(b *ingestBatch, block bool) error {
 	if ls.stopped {
 		return errIngestStopped
 	}
-	if !block && len(sh.q) == cap(sh.q) {
+	if len(sh.q) == cap(sh.q) {
 		return errIngestQueueFull
 	}
 	if ls.wal != nil {
@@ -492,7 +486,7 @@ func (st *store) closeWALs() {
 }
 
 // closeLive stops ingestion for good: no new batches are accepted, the
-// shard workers drain their queues and exit. Callers stop the listeners
+// shard workers drain their queues and exit. Callers stop the HTTP server
 // first; when closeLive returns, every acknowledged key is in a builder,
 // which is what makes the final rotation flush complete.
 func (st *store) closeLive() {

@@ -451,17 +451,19 @@ func TestLivePersistRecover(t *testing.T) {
 }
 
 // pushDirect pushes a batch into the store's live summary without HTTP,
-// through the same validated shard queues the transports use (a later
+// through the same validated shard queues the HTTP handler uses (a later
 // rotate quiesces the queues, so the keys are in the builders by snapshot
-// time). The batch is stack-owned, not pooled, so the worker's release is
-// a no-op.
+// time). Callers push at most a few batches between rotations, far below
+// the default queue depth, so a full queue (errIngestQueueFull) is a test
+// failure. The batch is stack-owned, not pooled, so the worker's release
+// is a no-op.
 func pushDirect(st *store, coords [][]uint64, weights []float64) error {
 	ls := st.lives["net"]
 	batch := &ingestBatch{Batch: wire.Batch{Coords: coords, Weights: weights}}
 	if err := validateBatch(ls.axes, &batch.Batch); err != nil {
 		return err
 	}
-	return ls.enqueue(batch, true)
+	return ls.enqueue(batch)
 }
 
 // TestRotateSkipsClean: the interval rotation is a no-op when nothing was

@@ -43,12 +43,7 @@
 //	                       its own ingest queue and worker (0 = all CPUs);
 //	                       shard snapshots are merged at every rotation
 //	-ingest-queue n        queue depth per shard, in batches (0 = default);
-//	                       a full queue answers HTTP 429 + Retry-After and
-//	                       stalls the raw socket (TCP back-pressure)
-//	-ingest-listen addr    raw frame-stream ingest socket ("host:port" or
-//	                       "unix:/path"): hello record, then binary frames,
-//	                       then a JSON ack (see internal/wire and
-//	                       sasbench -ingest)
+//	                       a full queue answers HTTP 429 + Retry-After
 //	-snapshot-interval d   publish dirty live summaries every d (0 = manual)
 //	-snapshot-dir dir      persist snapshots as SAS2 files; the newest one
 //	                       is recovered on startup and merged with
@@ -141,7 +136,6 @@ func main() {
 		liveSeed     = flag.Uint64("live-seed", 1, "construction seed for live summaries")
 		liveShards   = flag.Int("live-shards", 0, "parallel ingest builders per live summary (0 = GOMAXPROCS)")
 		ingestQueue  = flag.Int("ingest-queue", 0, "per-shard pending-batch queue cap (0 = default)")
-		ingestListen = flag.String("ingest-listen", "", "raw binary-frame ingest socket: host:port or unix:/path (requires -live)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "automatic live snapshot period (0 = manual POST .../snapshot only)")
 		snapDir      = flag.String("snapshot-dir", "", "directory persisting live snapshots (newest recovered on startup)")
 		walSyncFlag  = flag.String("wal-sync", "interval", "ingest write-ahead-log sync policy: always, interval, or off (effective with -snapshot-dir)")
@@ -192,9 +186,6 @@ func main() {
 	}
 	if len(liveSpecs) == 0 && (*snapDir != "" || *snapInterval != 0) {
 		tool.Usagef("-snapshot-dir and -snapshot-interval require at least one -live summary")
-	}
-	if len(liveSpecs) == 0 && *ingestListen != "" {
-		tool.Usagef("-ingest-listen requires at least one -live summary")
 	}
 	assigns, err := cliutil.ParseAssignments(flag.Args())
 	tool.CheckUsage(err)
@@ -308,26 +299,17 @@ func main() {
 		go st.rotationLoop(ctx, *snapInterval)
 	}
 
-	var ingSrv *ingestServer
-	if *ingestListen != "" {
-		ingSrv, err = listenIngest(st, *ingestListen, logger.Printf)
-		tool.Check(err)
-		logger.Printf("ingest socket listening on %s", ingSrv.addr())
-	}
 	st.ready.Store(true)
 	logger.Printf("ready")
 
 	serveErr := <-serveDone
-	// Stop the write plane in dependency order: listeners first (no new
-	// batches), then the shard workers (drain every accepted batch into
-	// the builders), so the final flush below covers every acknowledged
-	// key. This runs even when the drain timed out or the server failed —
-	// acknowledged keys must never be dropped on the way out. The WALs
-	// close last: the final flush's cut and truncation are ordinary
-	// rotations against the open logs.
-	if ingSrv != nil {
-		ingSrv.close()
-	}
+	// Stop the write plane in dependency order: the HTTP server has
+	// stopped taking requests (no new batches), so stop the shard workers
+	// (drain every accepted batch into the builders) and the final flush
+	// below covers every acknowledged key. This runs even when the drain
+	// timed out or the server failed — acknowledged keys must never be
+	// dropped on the way out. The WALs close last: the final flush's cut
+	// and truncation are ordinary rotations against the open logs.
 	st.closeLive()
 	if *snapDir != "" {
 		// Flush keys that arrived since the last rotation so a restart

@@ -1,17 +1,13 @@
 package wire
 
-// retry.go is the client-side resilience half of the wire protocol: a
-// capped exponential backoff with jitter, a Retry-After parser that can
-// never be talked into a hot loop, and a dialer that rides out the
-// transient connection failures a restarting server hands out (refused
-// while the listener is down, reset while it drains). Retries belong in
-// the client, not the protocol: the server's only job is to answer or
-// refuse quickly, and every policy knob (attempts, base, cap) stays with
-// the caller who knows what the stream is worth.
+// retry.go is the client-side resilience half of frame ingest: a capped
+// exponential backoff with jitter, and a Retry-After parser that can never
+// be talked into a hot loop. Retries belong in the client, not the
+// protocol: the server's only job is to answer or refuse (429) quickly, and
+// every policy knob (base, cap) stays with the caller who knows what the
+// stream is worth.
 
 import (
-	"errors"
-	"fmt"
 	"math/rand/v2"
 	"strconv"
 	"strings"
@@ -94,37 +90,4 @@ func RetryAfter(h string, fallback time.Duration) time.Duration {
 		return time.Duration(s) * time.Second
 	}
 	return fallback
-}
-
-// sleepRetry is swapped by tests to observe backoff without real sleeping.
-var sleepRetry = time.Sleep
-
-// DialRetry dials a sasserve ingest socket like Dial, retrying transient
-// failures up to attempts times with b's backoff between tries (nil b
-// uses the defaults). Every dial error is treated as transient — the
-// common cause is a server mid-restart, which refuses, resets, or times
-// out depending on exactly when the client arrives — except a malformed
-// summary name, which no amount of retrying will fix.
-func DialRetry(addr, summary string, attempts int, b *Backoff) (*Client, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if b == nil {
-		b = &Backoff{}
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			sleepRetry(b.Next())
-		}
-		c, err := Dial(addr, summary)
-		if err == nil {
-			return c, nil
-		}
-		if errors.Is(err, ErrHello) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("wire: dial %s: %d attempts failed: %w", addr, attempts, lastErr)
 }

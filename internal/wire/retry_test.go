@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"net"
-	"strings"
 	"testing"
 	"time"
 )
@@ -84,100 +82,5 @@ func TestRetryAfter(t *testing.T) {
 		if got := RetryAfter(c.header, fallback); got != c.want {
 			t.Errorf("RetryAfter(%q) = %v, want %v", c.header, got, c.want)
 		}
-	}
-}
-
-// TestDialRetryTransient: a refused port is retried with backoff until the
-// attempt budget runs out, sleeping attempts-1 times.
-func TestDialRetryTransient(t *testing.T) {
-	// Bind and close a port so the dial is deterministically refused.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	var slept []time.Duration
-	sleepRetry = func(d time.Duration) { slept = append(slept, d) }
-	defer func() { sleepRetry = time.Sleep }()
-
-	b := &Backoff{Base: time.Millisecond, Rand: func() float64 { return 0 }}
-	_, err = DialRetry(addr, "flows", 3, b)
-	if err == nil {
-		t.Fatal("DialRetry against a closed port succeeded")
-	}
-	if !strings.Contains(err.Error(), "3 attempts") {
-		t.Fatalf("error does not name the attempt budget: %v", err)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2 (between 3 attempts)", len(slept))
-	}
-}
-
-// TestDialRetryFirstTry: a healthy listener is dialed once with no sleeps,
-// and the hello names the summary.
-func TestDialRetryFirstTry(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	got := make(chan string, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		name, _ := ReadHello(conn)
-		got <- name
-	}()
-
-	sleepRetry = func(time.Duration) { t.Error("slept on a successful first dial") }
-	defer func() { sleepRetry = time.Sleep }()
-
-	c, err := DialRetry(ln.Addr().String(), "flows", 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Close(); err == nil {
-		// The stub never answers a Stats line; the error is expected and
-		// irrelevant — the dial itself is under test.
-		t.Log("unexpected clean close against a stub server")
-	}
-	select {
-	case name := <-got:
-		if name != "flows" {
-			t.Fatalf("hello named %q, want flows", name)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never received the hello")
-	}
-}
-
-// TestDialRetryPermanent: a malformed summary name fails immediately — no
-// amount of retrying fixes a bad hello.
-func TestDialRetryPermanent(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-
-	sleepRetry = func(time.Duration) { t.Error("slept on a permanent error") }
-	defer func() { sleepRetry = time.Sleep }()
-
-	if _, err := DialRetry(ln.Addr().String(), "", 5, nil); err == nil {
-		t.Fatal("empty summary name accepted")
 	}
 }

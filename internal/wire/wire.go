@@ -26,9 +26,11 @@
 // header's row count: a frame assembled from mismatched columns fails
 // loudly (ErrColumnLength) instead of silently shearing keys.
 //
-// Streams are just concatenated frames. The raw ingest socket (sasserve
-// -ingest-listen) prefixes a stream with a hello record naming the target
-// summary; see AppendHello/ReadHello and Client.
+// A frame travels as the body of POST /v1/summaries/{name}/keys with
+// Content-Type ContentType; a server whose ingest queues are full answers
+// 429 with a Retry-After hint (see Backoff and RetryAfter for the client
+// side). Streams of concatenated frames are what Reader decodes — the
+// write-ahead log stores its records that way.
 package wire
 
 import (
@@ -302,24 +304,4 @@ func (fr *Reader) Next(dst *Batch) error {
 		return fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	return fr.cfg.decodeBody(frame, dims, rows, dst)
-}
-
-// Writer encodes batches as frames onto w, reusing one encode buffer.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewWriter returns a Writer emitting frames to w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// WriteFrame encodes one batch as a frame and writes it whole.
-func (fw *Writer) WriteFrame(coords [][]uint64, weights []float64) error {
-	buf, err := AppendFrame(fw.buf[:0], coords, weights)
-	if err != nil {
-		return err
-	}
-	fw.buf = buf
-	_, err = fw.w.Write(buf)
-	return err
 }

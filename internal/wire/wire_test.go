@@ -208,29 +208,3 @@ func TestReaderStream(t *testing.T) {
 		t.Fatalf("cut stream: %v, want ErrTruncated", err)
 	}
 }
-
-func TestHelloRoundTrip(t *testing.T) {
-	hello, err := AppendHello(nil, "flows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	name, err := ReadHello(bytes.NewReader(hello))
-	if err != nil || name != "flows" {
-		t.Fatalf("ReadHello = %q, %v", name, err)
-	}
-	if _, err := AppendHello(nil, ""); !errors.Is(err, ErrHello) {
-		t.Fatalf("empty name: %v", err)
-	}
-	for _, raw := range [][]byte{
-		nil,
-		[]byte("SASH\x01\x05\x00flows"),             // wrong magic
-		[]byte("SASI\x02\x05\x00flows"),             // wrong version
-		[]byte("SASI\x01\x00\x00"),                  // zero-length name
-		[]byte("SASI\x01\xff\xffx"),                 // absurd length
-		append([]byte("SASI\x01\x09\x00"), "ab"...), // short name
-	} {
-		if _, err := ReadHello(bytes.NewReader(raw)); !errors.Is(err, ErrHello) {
-			t.Errorf("raw % x: %v, want ErrHello", raw, err)
-		}
-	}
-}

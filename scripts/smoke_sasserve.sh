@@ -10,9 +10,9 @@
 #   load side:  replay a seeded hot/hot-nocache query mix with sasbench
 #               -load and check the answer cache took hits;
 #   wire side:  push binary frames over HTTP (application/x-sas-frame),
-#               flood the raw -ingest-listen socket with sasbench -ingest
-#               while probing the HTTP path for 429 + Retry-After
-#               back-pressure, then verify every acknowledged key landed;
+#               flood the same endpoint with sasbench -ingest while
+#               probing it for 429 + Retry-After back-pressure, then
+#               verify every acknowledged key landed;
 #   crash side: kill -9 the server right after an acknowledged push and
 #               check WAL replay recovers the key on restart. Every
 #               (re)start gates on GET /readyz, which stays 503 until
@@ -23,7 +23,6 @@
 set -euo pipefail
 
 PORT="${SMOKE_PORT:-8347}"
-INGEST_PORT=$((PORT + 1))
 TMP="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
@@ -78,12 +77,14 @@ go run ./cmd/sassample -in "$TMP/net.csv" -bits 12 -s 500 -seed 1 -dump "$TMP/ne
 echo "== start sasserve (static file + live summary + snapshot dir)"
 go build -o "$TMP/sasserve" ./cmd/sasserve
 # Two live summaries share the ingest plane: "flows" keeps the exact-sum
-# HTTP assertions below, "load" absorbs the wire flood. Two shards and a
-# 1-deep queue make the 429 back-pressure probe deterministic under flood.
+# HTTP assertions below, "load" absorbs the frame flood. Two shards and a
+# 1-deep queue make the 429 back-pressure probe observable under flood; a
+# 400k-key builder reservoir slows each shard worker's PushBatch enough
+# that HTTP flooders outrun it (with the default 1000-key reservoir the
+# workers drain faster than the flooders can post).
 SERVE=("$TMP/sasserve" -addr "127.0.0.1:$PORT" -live 'flows=bittrie:12,bittrie:12' \
     -live 'load=bittrie:12,bittrie:12' -live-shards 2 -ingest-queue 1 \
-    -ingest-listen "127.0.0.1:$INGEST_PORT" \
-    -live-size 200 -live-seed 1 -snapshot-dir "$TMP/snapshots")
+    -live-size 200 -live-buffer 400000 -live-seed 1 -snapshot-dir "$TMP/snapshots")
 "${SERVE[@]}" "net=$TMP/net.sas" &
 SERVER_PID=$!
 wait_ready
@@ -142,18 +143,30 @@ NET_META="$(fetch "http://127.0.0.1:$PORT/v1/summaries/net")"
 echo "$NET_META"
 echo "$NET_META" | grep -q '"cache_hits":[1-9]' || { echo "answer cache took no hits under the hot mix" >&2; exit 1; }
 
-echo "== flood the ingest socket, probe HTTP back-pressure (want 429 + Retry-After)"
-# Maximum-size frames (131072 keys) keep each shard worker busy for ~10ms
+echo "== flood HTTP frame ingest, probe its back-pressure (want 429 + Retry-After)"
+# Maximum-size frames (131072 keys) keep each shard worker busy for many ms
 # per pop, so the 1-deep queues are observably full whenever the probe's
 # handler gets scheduled — on one CPU, smaller frames drain before the
-# probe runs and the 429 would be flaky.
-"$TMP/sasbench" -ingest "127.0.0.1:$INGEST_PORT" -ingest-name load \
-    -ingest-keys 8000000 -ingest-batch 131072 -seed 7 >"$TMP/flood.out" &
-FLOOD_PID=$!
+# probe runs and the 429 would be flaky. Four concurrent flooders of 2M keys
+# each share the 8M-key flood. Each flooder honors Retry-After: 1, so the
+# queues are full only in bursts between their sleeps; the probe therefore
+# keeps trying until it sees a 429 or every flooder has exited.
+FLOOD_PIDS=()
+for seed in 7 8 9 10; do
+    "$TMP/sasbench" -ingest "http://127.0.0.1:$PORT" -ingest-name load \
+        -ingest-keys 2000000 -ingest-batch 131072 -seed "$seed" >"$TMP/flood-$seed.out" &
+    FLOOD_PIDS+=("$!")
+done
+flooding() {
+    for pid in "${FLOOD_PIDS[@]}"; do
+        kill -0 "$pid" 2>/dev/null && return 0
+    done
+    return 1
+}
 PROBE_BODY='{"coords":[[1],[2]],"weights":[1]}'
 SAW_429=""
 command -v curl >/dev/null || SAW_429="skipped (no curl)"
-[ -n "$SAW_429" ] || for _ in $(seq 1 200); do
+[ -n "$SAW_429" ] || while flooding; do
     CODE="$(curl -s -o "$TMP/probe.json" -D "$TMP/probe.hdr" -w '%{http_code}' -X POST \
         -H 'Content-Type: application/json' -d "$PROBE_BODY" \
         "http://127.0.0.1:$PORT/v1/summaries/load/keys")" || CODE=000
@@ -162,18 +175,19 @@ command -v curl >/dev/null || SAW_429="skipped (no curl)"
         grep -qi '^Retry-After:' "$TMP/probe.hdr" || { echo "429 without Retry-After" >&2; exit 1; }
         break
     fi
-    kill -0 "$FLOOD_PID" 2>/dev/null || break
 done
-wait "$FLOOD_PID" || { echo "socket flood failed" >&2; cat "$TMP/flood.out" >&2; exit 1; }
-cat "$TMP/flood.out"
-grep -q '8000000 keys' "$TMP/flood.out" || { echo "flood keys not acknowledged" >&2; exit 1; }
+for pid in "${FLOOD_PIDS[@]}"; do
+    wait "$pid" || { echo "frame flood failed" >&2; cat "$TMP"/flood-*.out >&2; exit 1; }
+done
+cat "$TMP"/flood-*.out
+[ "$(grep -l '2000000 keys' "$TMP"/flood-*.out | wc -l)" -eq 4 ] || { echo "flood keys not acknowledged" >&2; exit 1; }
 [ -n "$SAW_429" ] || { echo "never observed a 429 under flood" >&2; exit 1; }
 
 echo "== snapshot the flooded summary: every acknowledged key must be counted"
 LOAD_SNAP="$(post "http://127.0.0.1:$PORT/v1/summaries/load/snapshot" '')"
 echo "$LOAD_SNAP"
 LOAD_PUSHED="$(echo "$LOAD_SNAP" | sed -n 's/.*"pushed":\([0-9]*\).*/\1/p')"
-# 8 001 000 socket+frame keys, plus any probe pushes that squeezed in.
+# 8 001 000 frame keys, plus any probe pushes that squeezed in.
 if [ -z "$LOAD_PUSHED" ] || [ "$LOAD_PUSHED" -lt 8001000 ]; then
     echo "flooded summary pushed=$LOAD_PUSHED, want >= 8001000" >&2
     exit 1
