@@ -88,9 +88,10 @@ LOADBENCHTIME ?= 3000x
 # Record the benchmark trajectory: run the key build/query benchmarks, the
 # ingest-plane benchmarks (HTTP frame and JSON bodies, plus
 # BenchmarkIngestWAL, which prices each -wal-sync durability policy on the
-# frame path against the no-WAL baseline),
-# the concurrent serving benchmark (qps + latency percentiles per query
-# mix, including the answer-cache hot/hot-nocache pair), and the
+# frame path against the no-WAL baseline, and BenchmarkRotate, one forced
+# 2-shard snapshot rotation), the concurrent serving benchmark (qps +
+# latency percentiles per query mix, including the answer-cache
+# hot/hot-nocache pair), and the
 # head-to-head backend comparison (sasbench -backends), and emit
 # BENCH_PR9.json (before = the previous PR's recorded numbers, after =
 # this run, backends = the embedded comparison document).
@@ -102,7 +103,7 @@ bench-json:
 		-benchmem -benchtime $(BENCHTIME) . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIndexedEstimateRange$$' \
 		-benchmem -benchtime $(QUERYBENCHTIME) . && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkIngest' \
+	  $(GO) test -run '^$$' -bench '^BenchmarkIngest|^BenchmarkRotate$$' \
 		-benchmem -benchtime $(INGESTBENCHTIME) ./cmd/sasserve && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeLoad$$' \
 		-benchtime $(LOADBENCHTIME) ./cmd/sasserve ) \

@@ -4,9 +4,11 @@ package main
 // bodies (with and without a write-ahead log) and as HTTP JSON bodies, all
 // reported in keys/s so they compare directly with the root
 // BenchmarkBuilderPushBatch ceiling (the in-process PushBatch rate the
-// transports are trying to approach). Run with
+// transports are trying to approach), plus BenchmarkRotate, the cost of
+// publishing one snapshot of that stream. Run with
 //
 //	go test -run '^$' -bench '^BenchmarkIngest' ./cmd/sasserve
+//	go test -run '^$' -bench '^BenchmarkRotate$' -cpu 1,2 ./cmd/sasserve
 //
 // `make bench-json` records them into the benchmark trajectory.
 
@@ -54,16 +56,17 @@ func ingestFixture(b *testing.B) ([][]uint64, []float64) {
 	return ingCoords, ingWeights
 }
 
-// benchLiveStore builds a single-shard live store with the root benchmark's
-// summary size, with queue depth comfortably above the frames in flight so
-// the HTTP benchmarks measure throughput, not 429 shedding. A non-empty dir
-// is the snapshot directory, where pol decides whether a WAL is kept.
-func benchLiveStore(b *testing.B, dir string, pol wal.Policy) *store {
+// benchLiveStore builds a live store of the given shard count with the root
+// benchmark's summary size, with queue depth comfortably above the frames in
+// flight so the HTTP benchmarks measure throughput, not 429 shedding. A
+// non-empty dir is the snapshot directory, where pol decides whether a WAL
+// is kept.
+func benchLiveStore(b *testing.B, shards int, dir string, pol wal.Policy) *store {
 	b.Helper()
 	st := newStore(nil, 4096, func(string, ...any) {})
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: "bittrie:10,bittrie:10"}},
-		liveConfig{size: 4096, seed: 1, shards: 1, queue: 4096, dir: dir, walSync: pol},
+		liveConfig{size: 4096, seed: 1, shards: shards, queue: 4096, dir: dir, walSync: pol},
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -154,7 +157,7 @@ func jsonDiscard(resp *http.Response) (int64, error) {
 // BenchmarkIngestHTTPFrame is the binary ingest path: the fixture as one
 // frame per HTTP POST.
 func BenchmarkIngestHTTPFrame(b *testing.B) {
-	benchIngestHTTP(b, benchLiveStore(b, "", wal.PolicyOff), frameContentType, frameBodies(b))
+	benchIngestHTTP(b, benchLiveStore(b, 1, "", wal.PolicyOff), frameContentType, frameBodies(b))
 }
 
 // BenchmarkIngestHTTPJSON is the pre-existing ingest path and the baseline
@@ -171,7 +174,7 @@ func BenchmarkIngestHTTPJSON(b *testing.B) {
 		}
 		bodies = append(bodies, body)
 	}
-	benchIngestHTTP(b, benchLiveStore(b, "", wal.PolicyOff), "application/json", bodies)
+	benchIngestHTTP(b, benchLiveStore(b, 1, "", wal.PolicyOff), "application/json", bodies)
 }
 
 // BenchmarkIngestDecodeJSON isolates the server-side JSON decode +
@@ -241,9 +244,34 @@ func BenchmarkIngestWAL(b *testing.B) {
 	bodies := frameBodies(b)
 	for _, pol := range []wal.Policy{wal.PolicyOff, wal.PolicyInterval, wal.PolicyAlways} {
 		b.Run(pol.String(), func(b *testing.B) {
-			st := benchLiveStore(b, b.TempDir(), pol)
+			st := benchLiveStore(b, 1, b.TempDir(), pol)
 			b.SetBytes(int64(wire.FrameSize(2, benchPerFrame) * len(bodies)))
 			benchIngestHTTP(b, st, frameContentType, bodies)
 		})
+	}
+}
+
+// BenchmarkRotate times one forced rotation of a 2-shard live summary whose
+// reservoirs are full (the fixture's 2^17 keys per shard overflow the
+// default 5×size buffer): the barrier, the two shard closes, the merge and
+// the index compile; there is no snapshot directory, so nothing is
+// persisted. Run it at -cpu 1,2: at GOMAXPROCS 1 the shard closes run one
+// after another, at 2 they run concurrently.
+func BenchmarkRotate(b *testing.B) {
+	st := benchLiveStore(b, 2, "", wal.PolicyOff)
+	ls := st.live("net")
+	cs, ws := frameSlices(ingestFixture(b))
+	for f := range ws {
+		if err := ls.enqueue(&ingestBatch{Batch: wire.Batch{Coords: cs[f], Weights: ws[f]}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ls.quiesce()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.rotate(ls, true); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

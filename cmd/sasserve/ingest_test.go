@@ -122,17 +122,18 @@ func TestIngestFrameHTTP(t *testing.T) {
 // preserves the stream's total weight exactly (VarOpt invariant through
 // the HT merge), range estimates stay within sampling tolerance of truth,
 // construction is deterministic (two identical stores produce
-// byte-identical summaries), and the published summary round-trips SAS2
-// bit for bit.
+// byte-identical summaries), the published bytes equal an offline serial
+// reference (so closing the shards concurrently changes nothing), and the
+// published summary round-trips SAS2 bit for bit.
 func TestShardedLiveIngest(t *testing.T) {
-	const shards, size, n = 4, 500, 10000
+	const shards, size, n, per = 4, 500, 10000, 250
+	var seq uint64
 	run := func(t *testing.T) *core.Summary {
 		st := shardedStore(t, size, shards, 0)
 		srv := httptest.NewServer(st.handler())
 		defer srv.Close()
 		coords, weights := genKeys(n, 71)
 		// Sequential frame pushes → deterministic round-robin routing.
-		const per = 250
 		for off := 0; off < n; off += per {
 			c := [][]uint64{coords[0][off : off+per], coords[1][off : off+per]}
 			if code := postFrame(t, srv.URL, c, weights[off:off+per], nil); code != http.StatusOK {
@@ -146,6 +147,7 @@ func TestShardedLiveIngest(t *testing.T) {
 		if e.pushed != n {
 			t.Fatalf("entry pushed %d, want %d", e.pushed, n)
 		}
+		seq = e.seq
 		s := e.sample()
 		if s == nil {
 			t.Fatal("merged live snapshot is not a sample backend")
@@ -198,6 +200,46 @@ func TestShardedLiveIngest(t *testing.T) {
 	}
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatal("two identical sharded runs produced different summary bytes")
+	}
+
+	// Serial reference: one offline Builder per shard (seeded Seed+i), fed
+	// the frames in enqueue's routing order — the routing counter is
+	// incremented before use, so frame k lands on shard (k+1) mod shards —
+	// snapshotted one after another and merged with the epoch's seed.
+	axes, err := structure.ParseAxisSpec(liveAxesSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builders := make([]*core.Builder, shards)
+	for i := range builders {
+		if builders[i], err = core.NewBuilder(axes, core.Config{Size: size, Seed: liveTestCfg.Seed + uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, off := 0, 0; off < n; k, off = k+1, off+per {
+		c := [][]uint64{coords[0][off : off+per], coords[1][off : off+per]}
+		if err := builders[(k+1)%shards].PushBatch(c, weights[off:off+per]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var parts []*core.Summary
+	for _, b := range builders {
+		snap, err := b.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, snap)
+	}
+	ref, err := core.MergeSummaries(size, liveTestCfg.Seed+seq, parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawRef, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw1, rawRef) {
+		t.Fatal("published sharded snapshot differs from the serial offline reference")
 	}
 	var rt core.Summary
 	if err := rt.UnmarshalBinary(raw1); err != nil {

@@ -261,42 +261,39 @@ func (ls *liveSummary) enqueue(b *ingestBatch) error {
 // and cuts the WAL into snapshot attempt window seq. Every record appended
 // before the call is ahead of the markers and in a segment the cut sealed;
 // every later one is behind the markers and in a segment with baseSeq >=
-// seq. The caller then wait()s for all workers to reach their markers —
-// proving the sealed records are all in the builders — snapshots the
-// builders, and release()s the workers. After closeLive the workers are
-// gone and the queues are already drained, so only the cut happens.
-func (ls *liveSummary) cutBarrier(seq uint64) (wait, release func(), err error) {
+// seq. Shard i's worker closes parked[i] when it reaches its marker —
+// proving the sealed records of that shard are all in its builder — and
+// then waits for release, so the caller can snapshot each builder as soon
+// as its channel closes. After closeLive the workers are gone and the
+// queues are already drained, so only the cut happens and parked is closed
+// here.
+func (ls *liveSummary) cutBarrier(seq uint64, parked []chan struct{}) (release func(), err error) {
 	ls.walMu.Lock()
 	defer ls.walMu.Unlock()
 	ls.qmu.RLock()
 	defer ls.qmu.RUnlock()
 	nop := func() {}
 	if ls.stopped {
+		for _, p := range parked {
+			close(p)
+		}
 		if ls.wal != nil {
 			err = ls.wal.Cut(seq)
 		}
-		return nop, nop, err
+		return nop, err
 	}
 	resume := make(chan struct{})
-	dones := make([]chan struct{}, len(ls.shards))
 	for i, sh := range ls.shards {
-		dones[i] = make(chan struct{})
-		sh.q <- ingestJob{done: dones[i], resume: resume}
+		sh.q <- ingestJob{done: parked[i], resume: resume}
 	}
 	if ls.wal != nil {
 		if err := ls.wal.Cut(seq); err != nil {
 			// Unpark the workers; the markers ahead of them are harmless.
 			close(resume)
-			return nop, nop, err
+			return nop, err
 		}
 	}
-	wait = func() {
-		//sasvet:ok the workers only close the done channels; receiving on them is the rendezvous
-		for _, done := range dones {
-			<-done
-		}
-	}
-	return wait, func() { close(resume) }, nil
+	return func() { close(resume) }, nil
 }
 
 // quiesce blocks until every batch accepted before the call has been
@@ -557,10 +554,11 @@ func sameDomain(want, got []structure.Axis) error {
 }
 
 // rotate publishes a new snapshot of ls: cut the WAL and pause the shard
-// workers at a barrier, snapshot every shard builder, release the workers,
-// merge the shard snapshots (plus the recovered base when one exists) into
-// one summary, compile the index, persist when configured, truncate the
-// WAL segments the persisted snapshot covers, and swap the serving entry.
+// workers at a barrier, snapshot the shard builders concurrently (see
+// snapshotShards), release the workers, merge the shard snapshots (plus
+// the recovered base when one exists) into one summary, compile the index,
+// persist when configured, truncate the WAL segments the persisted
+// snapshot covers, and swap the serving entry.
 // Shard populations are disjoint by construction (round-robin routing
 // sends each key to exactly one shard) and the base covers the pre-restart
 // stream, so the HT merge keeps estimates unbiased for the whole stream.
@@ -589,8 +587,22 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 	seq := ls.seq
 	ls.mu.Unlock()
 
-	wait, release, err := ls.cutBarrier(seq)
+	// The shard closes start before the cut, each as soon as its worker
+	// parks at the barrier marker, so they overlap the fsync that seals the
+	// WAL segment. The cut takes one of the GOMAXPROCS close slots until it
+	// returns: it holds walMu, which blocks every ack, so it must find a
+	// free CPU when its fsync completes.
+	parked := make([]chan struct{}, len(ls.shards))
+	for i := range parked {
+		parked[i] = make(chan struct{})
+	}
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	slots <- struct{}{}
+	closes := snapshotShards(ls.shards, parked, slots)
+	release, err := ls.cutBarrier(seq, parked)
+	<-slots
 	if err != nil {
+		_, _ = closes() // only waits: the rotation fails on the cut error
 		st.redirty(ls)
 		return nil, err
 	}
@@ -602,29 +614,28 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 		}
 	}
 	defer releaseOnce()
-	// Every record in a segment the cut sealed is ahead of the barrier
-	// markers; once the workers reach them, those records are all in the
-	// builders, and nothing newer can get in until release.
-	wait()
 	fault.Point(faultPreRotate)
 
+	// Every record in a segment the cut sealed is ahead of the barrier
+	// markers, so each close covers exactly those records of its shard, and
+	// nothing newer can get in until release.
+	snaps, err := closes()
+	if err != nil {
+		st.redirty(ls)
+		return nil, err
+	}
 	parts := make([]*core.Summary, 0, len(ls.shards)+1)
 	if base != nil {
 		parts = append(parts, base)
 	}
-	for _, sh := range ls.shards {
-		sh.mu.Lock()
-		snap, err := sh.b.Snapshot()
-		sh.mu.Unlock()
-		if errors.Is(err, core.ErrNoData) {
-			continue
+	for _, snap := range snaps {
+		if snap != nil {
+			parts = append(parts, snap)
 		}
-		if err != nil {
-			st.redirty(ls)
-			return nil, err
-		}
-		parts = append(parts, snap)
 	}
+	// pushed is read after the closes, not at the cut: producers have been
+	// enqueuing behind the barrier markers since cutBarrier dropped walMu,
+	// so it can count keys this snapshot does not contain (see entry.pushed).
 	pushed := ls.accepted.Load()
 	releaseOnce() // ingestion resumes; the merge/index/persist work below is off the hot path
 
@@ -679,6 +690,43 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 	ls.mu.Unlock()
 	st.logf("snapshot %d of live %q: %d keys from %d pushed (%s)", seq, ls.name, sum.Size(), pushed, path)
 	return e, nil
+}
+
+// snapshotShards starts closing every shard builder's snapshot and returns
+// a function that waits for them: it reports the snapshots indexed by
+// shard, with nil for a shard that has no data yet. The shards are disjoint
+// sub-streams sharing no state, so their closing passes (the kd-hierarchy
+// close inside Builder.Snapshot, which dominates a rotation) run
+// concurrently, each on its own goroutine under its own shard's mu, once
+// parked[i] closes. A close runs only while it holds one of the slots, so
+// at most cap(slots) run at once, which bounds the memory of the closes in
+// flight. Results are collected by index, so the merge input — and the
+// published bytes — are the same as closing the shards one after another.
+func snapshotShards(shards []*liveShard, parked []chan struct{}, slots chan struct{}) func() ([]*core.Summary, error) {
+	snaps := make([]*core.Summary, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		wg.Add(1)
+		go func(i int, sh *liveShard) {
+			defer wg.Done()
+			<-parked[i]
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			snaps[i], errs[i] = sh.b.Snapshot()
+		}(i, sh)
+	}
+	return func() ([]*core.Summary, error) {
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil && !errors.Is(err, core.ErrNoData) {
+				return nil, err
+			}
+		}
+		return snaps, nil
+	}
 }
 
 // redirty restores the pending-keys mark after a failed rotation so the

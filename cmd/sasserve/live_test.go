@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,13 +40,19 @@ const liveAxesSpec = "bittrie:10,bittrie:10"
 // has its own tests.
 func liveStore(t *testing.T, dir string, sources ...serveSource) *store {
 	t.Helper()
+	return liveStoreShards(t, dir, 1, sources...)
+}
+
+// liveStoreShards is liveStore with the given number of shard builders.
+func liveStoreShards(t *testing.T, dir string, shards int, sources ...serveSource) *store {
+	t.Helper()
 	st := newStore(sources, 4096, t.Logf)
 	if err := st.loadAll(); err != nil {
 		t.Fatal(err)
 	}
 	err := st.initLive(
 		[]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}},
-		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, dir: dir, shards: 1},
+		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, dir: dir, shards: shards},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -453,10 +460,10 @@ func TestLivePersistRecover(t *testing.T) {
 // pushDirect pushes a batch into the store's live summary without HTTP,
 // through the same validated shard queues the HTTP handler uses (a later
 // rotate quiesces the queues, so the keys are in the builders by snapshot
-// time). Callers push at most a few batches between rotations, far below
-// the default queue depth, so a full queue (errIngestQueueFull) is a test
-// failure. The batch is stack-owned, not pooled, so the worker's release
-// is a no-op.
+// time). Most callers push at most a few batches between rotations, far
+// below the default queue depth, so for them a full queue
+// (errIngestQueueFull) is a test failure. The batch is stack-owned, not
+// pooled, so the worker's release is a no-op.
 func pushDirect(st *store, coords [][]uint64, weights []float64) error {
 	ls := st.lives["net"]
 	batch := &ingestBatch{Batch: wire.Batch{Coords: coords, Weights: weights}}
@@ -502,12 +509,21 @@ func TestRotateSkipsClean(t *testing.T) {
 // gauntlet for the serving swap. Every response must be internally
 // consistent (served from one fully-formed index): the full-domain box
 // estimate equals the response's own union total bit for bit, and the two
-// half-domain boxes sum to the full one.
+// half-domain boxes sum to the full one. With several shards each rotation
+// also closes the shard snapshots concurrently while writers keep pushing.
 func TestConcurrentLiveServing(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testConcurrentLiveServing(t, shards)
+		})
+	}
+}
+
+func testConcurrentLiveServing(t *testing.T, shards int) {
 	dir := t.TempDir()
 	staticPath := filepath.Join(dir, "files.sas")
 	writeSummary(t, staticPath, buildSummary(t, 10))
-	st := liveStore(t, "", serveSource{name: "files", path: staticPath})
+	st := liveStoreShards(t, "", shards, serveSource{name: "files", path: staticPath})
 	srv := httptest.NewServer(st.handler())
 	defer srv.Close()
 
@@ -546,6 +562,27 @@ func TestConcurrentLiveServing(t *testing.T) {
 			// the rotation chain in the scheduler's next slot, and an
 			// unthrottled loop starves the reader goroutines on one core.
 			// ~1k entry swaps/s is still far beyond any real rotation rate.
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	// Pusher: keeps enqueueing beside the rotations, so batches queue up
+	// behind the barrier markers while the shard snapshots close. A full
+	// queue is legitimate backpressure here, not a failure.
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c, w := genKeys(100, uint64(5000+i))
+			if err := pushDirect(st, c, w); err != nil && !errors.Is(err, errIngestQueueFull) {
+				t.Error(err)
+				return
+			}
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -59,8 +59,11 @@ type entry struct {
 	loadedAt time.Time
 	bytes    int64
 	// Live-snapshot provenance (zero for file-backed entries): the snapshot
-	// sequence number and the keys the live builder had accepted when this
-	// snapshot was taken.
+	// sequence number and the keys this process had accepted when rotate
+	// read its counter. That read comes after the shard closes, not at the
+	// cut, so under concurrent ingest pushed overcounts: it includes keys
+	// acked behind the barrier markers, which this snapshot does not
+	// contain. It is exact when no producer runs during the rotation.
 	live   bool
 	seq    uint64
 	pushed int64
