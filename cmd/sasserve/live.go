@@ -557,8 +557,8 @@ func sameDomain(want, got []structure.Axis) error {
 // workers at a barrier, snapshot the shard builders concurrently (see
 // snapshotShards), release the workers, merge the shard snapshots (plus
 // the recovered base when one exists) into one summary, compile the index,
-// persist when configured, truncate the WAL segments the persisted
-// snapshot covers, and swap the serving entry.
+// persist when configured, swap the serving entry, and then delete the WAL
+// segments and old snapshot files the persisted snapshot made redundant.
 // Shard populations are disjoint by construction (round-robin routing
 // sends each key to exactly one shard) and the base covers the pre-restart
 // stream, so the HT merge keeps estimates unbiased for the whole stream.
@@ -572,6 +572,14 @@ func sameDomain(want, got []structure.Axis) error {
 // have gaps in their numbering after failures; recovery already tolerates
 // that.
 func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
+	return st.rotateNotify(ls, force, nil)
+}
+
+// rotateNotify is rotate with a callback: published, when non-nil, runs
+// with the new entry once it is installed, before the deletions that end a
+// rotation. The snapshot handler answers from it, so its client waits for
+// the epoch to be durable and queryable, not for that cleanup.
+func (st *store) rotateNotify(ls *liveSummary, force bool, published func(*entry)) (*entry, error) {
 	ls.rotMu.Lock()
 	defer ls.rotMu.Unlock()
 	now := time.Now()
@@ -670,12 +678,6 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 			st.redirty(ls)
 			return nil, err
 		}
-		if ls.wal != nil {
-			// The snapshot is durably renamed: the records in segments
-			// below its window are redundant now and only now.
-			ls.wal.Truncate(seq)
-		}
-		pruneSnapshots(st.liveCfg.dir, ls.name, keepSnapshots)
 	}
 
 	e := &entry{
@@ -688,6 +690,17 @@ func (st *store) rotate(ls *liveSummary, force bool) (*entry, error) {
 	ls.mu.Lock()
 	ls.pub = seq
 	ls.mu.Unlock()
+	if published != nil {
+		published(e)
+	}
+	if st.liveCfg.dir != "" {
+		if ls.wal != nil {
+			// The snapshot is durably renamed: the records in segments
+			// below its window are redundant now and only now.
+			ls.wal.Truncate(seq)
+		}
+		pruneSnapshots(st.liveCfg.dir, ls.name, keepSnapshots)
+	}
 	st.logf("snapshot %d of live %q: %d keys from %d pushed (%s)", seq, ls.name, sum.Size(), pushed, path)
 	return e, nil
 }
@@ -762,25 +775,29 @@ func (st *store) rotationLoop(ctx context.Context, interval time.Duration) {
 }
 
 // handleForceSnapshot publishes a snapshot immediately (bypassing the
-// rotation interval) and reports the new serving epoch.
+// rotation interval) and reports the new serving epoch as soon as it is
+// installed: the response is flushed before rotate's cleanup runs.
 func (st *store) handleForceSnapshot(w http.ResponseWriter, _ *http.Request, ls *liveSummary) {
-	e, err := st.rotate(ls, true)
+	_, err := st.rotateNotify(ls, true, func(e *entry) {
+		writeJSON(w, http.StatusOK, map[string]any{
+			"summary":        e.name,
+			"snapshot":       e.seq,
+			"size":           e.be.Size(),
+			"pushed":         e.pushed,
+			"total_estimate": e.be.EstimateTotal(),
+			"path":           e.path,
+		})
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+	})
 	if errors.Is(err, errNoLiveData) {
 		writeError(w, http.StatusConflict, "live summary %q has no data to snapshot (POST keys first)", ls.name)
 		return
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "snapshot failed: %v", err)
-		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"summary":        e.name,
-		"snapshot":       e.seq,
-		"size":           e.be.Size(),
-		"pushed":         e.pushed,
-		"total_estimate": e.be.EstimateTotal(),
-		"path":           e.path,
-	})
 }
 
 // ---- Snapshot persistence ---------------------------------------------------

@@ -799,6 +799,55 @@ func TestLiveWALRecover(t *testing.T) {
 	}
 }
 
+// TestForceSnapshotTruncatesWAL: POST .../snapshot answers with the epoch
+// it installed, which the handler flushes before the rotation's cleanup,
+// and that cleanup still deletes every WAL segment the snapshot covers
+// before the rotation lets go of rotMu.
+func TestForceSnapshotTruncatesWAL(t *testing.T) {
+	dir := t.TempDir()
+	st := newStore(nil, 4096, t.Logf)
+	err := st.initLive(
+		[]cliutil.Assignment{{Name: "net", Value: liveAxesSpec}},
+		liveConfig{size: liveTestCfg.Size, seed: liveTestCfg.Seed, dir: dir, shards: 2, walSync: wal.PolicyInterval},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.closeWALs)
+	t.Cleanup(st.closeLive)
+	srv := httptest.NewServer(st.handler())
+	defer srv.Close()
+
+	coords, weights := genKeys(600, 61)
+	pushColumnar(t, srv.URL, coords, weights)
+	var snap struct {
+		Snapshot uint64 `json:"snapshot"`
+		Pushed   int64  `json:"pushed"`
+	}
+	if code := postJSON(t, srv.URL+"/v1/summaries/net/snapshot", "application/json", nil, &snap); code != http.StatusOK {
+		t.Fatalf("snapshot status %d", code)
+	}
+	if snap.Snapshot != 1 || snap.Pushed != 600 {
+		t.Fatalf("snapshot response %+v, want seq 1 covering 600 keys", snap)
+	}
+	if e, ok := st.get("net"); !ok || e.seq != 1 {
+		t.Fatal("the answered epoch is not the serving one")
+	}
+	// The response may arrive before the cleanup ends. An unforced rotate
+	// waits for rotMu, which the first rotation holds until its cleanup is
+	// done, and then skips: nothing was pushed since.
+	if e, err := st.rotate(st.lives["net"], false); e != nil || err != nil {
+		t.Fatalf("clean unforced rotate: %v, %v", e, err)
+	}
+	old, err := filepath.Glob(filepath.Join(dir, "net-00000000-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old) != 0 {
+		t.Fatalf("window-0 wal segments survived the covering snapshot: %v", old)
+	}
+}
+
 // TestReadyzGate: /readyz answers 503 until the store flips ready, while
 // /healthz answers 200 the whole time — the distinction orchestrators
 // gate traffic on during snapshot recovery and WAL replay.
