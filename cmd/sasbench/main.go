@@ -8,8 +8,6 @@
 //	sasbench -exp all -scale 0.05
 //	sasbench -backends backends.json [-backend-size 1000] [-scale 0.05]
 //	sasbench -ingest http://127.0.0.1:8337 -ingest-name flows [-ingest-keys 1000000]
-//	sasbench -load http://127.0.0.1:8337 -load-name net [-load-mix area,hot]
-//	          [-load-conc 4,16] [-load-duration 3s] [-load-out load.json]
 //	sasbench -list
 //
 // Scale 1.0 reproduces the paper's dataset cardinalities (196K network
@@ -22,21 +20,16 @@
 // datasets and scored on uniform-area and uniform-weight batteries — mean
 // and max relative error against exact answers plus single-threaded query
 // throughput — written as JSON (see internal/expt.BackendsReport).
-// `make bench-json` embeds this document in the recorded trajectory.
 //
 // -ingest floods a running sasserve (base URL http://host:port) with
 // binary frames of seeded synthetic keys, one POST
 // /v1/summaries/{name}/keys per frame, honoring 429 + Retry-After, and
 // reports the acknowledged throughput. It doubles as a load generator for
-// the smoke script's back-pressure probe.
+// the smoke script's back-pressure probe. -ingest-bits must lie in [1, 63],
+// the bit width a structure axis allows.
 //
-// -load is the read-side counterpart: replay seeded query mixes against a
-// running sasserve at each -load-conc concurrency level for -load-duration,
-// reporting qps and p50/p99/p999 latency per cell (TSV to stdout, JSON via
-// -load-out). Mixes: "area" cycles uniform-area boxes over the summary's
-// domain; "hot" Zipf-concentrates traffic on a small range pool (the answer
-// cache's best case); "hot-nocache" replays the identical hot sequence with
-// cache=off, so cache effect = hot vs hot-nocache.
+// Read-side load against a running server (qps, latency, answer-cache hit
+// ratio) is perfbench's query workload.
 package main
 
 import (
@@ -74,12 +67,6 @@ func main() {
 		ingBatch = flag.Int("ingest-batch", 4096, "keys per frame in -ingest mode")
 		ingDims  = flag.Int("ingest-dims", 2, "coordinate dimensions in -ingest mode")
 		ingBits  = flag.Int("ingest-bits", 12, "bits per coordinate in -ingest mode")
-		load     = flag.String("load", "", "replay query load against a sasserve base URL (http://host:port)")
-		loadName = flag.String("load-name", "net", "summary to query in -load mode")
-		loadMix  = flag.String("load-mix", "area,hot", "comma-separated query mixes in -load mode (area, hot, hot-nocache)")
-		loadConc = flag.String("load-conc", "4,16", "comma-separated concurrency levels in -load mode")
-		loadDur  = flag.Duration("load-duration", 3*time.Second, "duration of each (mix, concurrency) cell in -load mode")
-		loadOut  = flag.String("load-out", "", "write -load results as JSON to this file")
 	)
 	flag.Parse()
 	tool := cliutil.New("sasbench")
@@ -98,18 +85,10 @@ func main() {
 		cliutil.Positive("-ingest-keys", *ingKeys),
 		cliutil.Positive("-ingest-batch", *ingBatch),
 		cliutil.Positive("-ingest-dims", *ingDims),
-		cliutil.Positive("-ingest-bits", *ingBits),
 	))
 	if *ingest != "" {
-		tool.CheckUsage(checkBaseURL("-ingest", *ingest))
+		tool.CheckUsage(checkIngest(*ingest, *ingBits))
 		tool.Check(runIngestHTTP(*ingest, *ingName, *ingKeys, newKeyGen(*seed, *ingDims, *ingBits, *ingBatch)))
-		return
-	}
-	if *load != "" {
-		if *loadDur <= 0 {
-			tool.Usagef("-load-duration must be positive")
-		}
-		tool.Check(runLoad(*load, *loadName, *loadMix, *loadConc, *loadDur, *loadOut, *seed))
 		return
 	}
 	if *backends != "" {
@@ -162,13 +141,14 @@ func main() {
 	}
 }
 
-// checkBaseURL validates a flag naming a sasserve base URL: only http://
-// and https:// targets exist.
-func checkBaseURL(flag, addr string) error {
+// checkIngest validates -ingest mode's flags: only http:// and https://
+// targets exist, and -ingest-bits must fit a structure axis, [1, 63] (at 64
+// the key domain 1<<bits wraps to 0).
+func checkIngest(addr string, bits int) error {
 	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-		return fmt.Errorf("%s must be a sasserve base URL (http://host:port), got %q", flag, addr)
+		return fmt.Errorf("-ingest must be a sasserve base URL (http://host:port), got %q", addr)
 	}
-	return nil
+	return cliutil.InRange("-ingest-bits", bits, 1, 63)
 }
 
 // runIngestHTTP pushes n seeded heavy-tailed keys to a sasserve live

@@ -3,8 +3,6 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -54,78 +52,38 @@ func TestIngestHTTPHonorsRetryAfter(t *testing.T) {
 
 // TestIngestRequiresBaseURL: -ingest speaks HTTP only, so a bare
 // host:port (or unix:/path) is a usage error — exit 2, naming the flag —
-// not a runtime dial failure.
+// not a runtime dial failure. Likewise -ingest-bits outside [1, 63]: at 64
+// the key domain 1<<bits wraps to 0 and the generator divides by zero.
 func TestIngestRequiresBaseURL(t *testing.T) {
-	for _, addr := range []string{"127.0.0.1:8337", "unix:ingest.sock", "localhost", "ftp://h:1"} {
+	const url = "http://127.0.0.1:8337"
+	for _, tc := range []struct {
+		addr string
+		bits int
+		flag string
+	}{
+		{"127.0.0.1:8337", 12, "-ingest "},
+		{"unix:ingest.sock", 12, "-ingest "},
+		{"localhost", 12, "-ingest "},
+		{"ftp://h:1", 12, "-ingest "},
+		{url, 0, "-ingest-bits"},
+		{url, 64, "-ingest-bits"},
+		{url, 70, "-ingest-bits"},
+	} {
 		var stderr strings.Builder
 		code := -1
 		tool := &cliutil.Tool{Name: "sasbench", Stderr: &stderr, Exit: func(c int) { code = c }}
-		tool.CheckUsage(checkBaseURL("-ingest", addr))
-		if code != 2 || !strings.Contains(stderr.String(), "-ingest") {
-			t.Errorf("-ingest %q: exit %d, stderr %q; want exit 2 naming -ingest", addr, code, stderr.String())
+		tool.CheckUsage(checkIngest(tc.addr, tc.bits))
+		if code != 2 || !strings.Contains(stderr.String(), tc.flag) {
+			t.Errorf("-ingest %q -ingest-bits %d: exit %d, stderr %q; want exit 2 naming %s",
+				tc.addr, tc.bits, code, stderr.String(), tc.flag)
 		}
 	}
-	for _, addr := range []string{"http://127.0.0.1:8337", "https://example.test/"} {
-		if err := checkBaseURL("-ingest", addr); err != nil {
-			t.Errorf("-ingest %q rejected: %v", addr, err)
+	for _, tc := range []struct {
+		addr string
+		bits int
+	}{{url, 12}, {"https://example.test/", 12}, {url, 1}, {url, 63}} {
+		if err := checkIngest(tc.addr, tc.bits); err != nil {
+			t.Errorf("-ingest %q -ingest-bits %d rejected: %v", tc.addr, tc.bits, err)
 		}
-	}
-}
-
-func TestParseConcs(t *testing.T) {
-	got, err := parseConcs("4, 16")
-	if err != nil || len(got) != 2 || got[0] != 4 || got[1] != 16 {
-		t.Fatalf("parseConcs(4, 16) = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0", "4,x", "-1"} {
-		if _, err := parseConcs(bad); err == nil {
-			t.Errorf("parseConcs(%q) accepted", bad)
-		}
-	}
-}
-
-// TestRunLoadAgainstFakeServer drives the whole -load path against a stub
-// sasserve: metadata fetch, mix construction inside the advertised domain,
-// concurrent replay, and the JSON report.
-func TestRunLoadAgainstFakeServer(t *testing.T) {
-	var estimates atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/summaries/net", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"name":"net","axes":[{"domain_size":1024},{"domain_size":1024}]}`))
-	})
-	mux.HandleFunc("GET /v1/summaries/net/estimate", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("range") == "" {
-			http.Error(w, "missing range", http.StatusBadRequest)
-			return
-		}
-		estimates.Add(1)
-		w.Write([]byte(`{"estimates":[1],"total":1}`))
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	out := filepath.Join(t.TempDir(), "load.json")
-	err := runLoad(srv.URL, "net", "area,hot,hot-nocache", "2,4", 30*time.Millisecond, out, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if estimates.Load() == 0 {
-		t.Fatal("no estimate requests reached the server")
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"mix": "area"`, `"mix": "hot-nocache"`, `"concurrency": 4`, `"qps"`, `"p999_ns"`} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("report missing %s:\n%s", want, raw)
-		}
-	}
-	// Unknown mixes and unreachable summaries fail loudly.
-	if err := runLoad(srv.URL, "net", "bogus", "2", time.Millisecond, "", 5); err == nil {
-		t.Fatal("unknown mix accepted")
-	}
-	if err := runLoad(srv.URL, "nope", "area", "2", time.Millisecond, "", 5); err == nil {
-		t.Fatal("missing summary accepted")
 	}
 }

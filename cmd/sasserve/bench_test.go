@@ -10,7 +10,8 @@ package main
 //	go test -run '^$' -bench '^BenchmarkIngest' ./cmd/sasserve
 //	go test -run '^$' -bench '^BenchmarkRotate$' -cpu 1,2 ./cmd/sasserve
 //
-// `make bench-json` records them into the benchmark trajectory.
+// They price single stages in isolation; the end-to-end ingest rate, with
+// the real binary and its publish latency, is perfbench's ingest workload.
 
 import (
 	"bytes"

@@ -33,7 +33,9 @@
 //	                       serving epoch; a reload or snapshot rotation swaps
 //	                       the entry and drops its cache wholesale, so a
 //	                       stale answer can never be served. A single-range
-//	                       GET may append &cache=off to bypass the cache.
+//	                       GET may append &cache=off to bypass the cache and
+//	                       compute the answer afresh, e.g. to check a cached
+//	                       body against it.
 //	-live name=axes        writable summary over the given key domain
 //	                       (axes like "bittrie:32,bittrie:32"; repeatable)
 //	-live-size n           sample size of each live snapshot (default 1000)

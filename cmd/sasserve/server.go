@@ -612,7 +612,7 @@ func (st *store) handleEstimateGet(w http.ResponseWriter, r *http.Request, e *en
 // is the answer-cache key. When several ranges are present they all come
 // back in all (first included); pairs with invalid percent-escapes are
 // skipped, as url.Values does. cache=off opts the request out of the answer
-// cache — consistency tests and the load harness's uncached baseline use it.
+// cache; the consistency and soak tests use it as the uncached reference.
 func parseEstimateParams(raw string) (first string, all []string, n int, useCache bool) {
 	useCache = true
 	for raw != "" {

@@ -14,8 +14,7 @@ import (
 // The backends comparison (sasbench -backends) builds every backend kind at
 // one matched element budget over the evaluation datasets and scores them
 // head-to-head on the same query batteries: accuracy against exact answers
-// and query throughput. The result is a JSON document recorded alongside
-// the benchmark trajectory (BENCH_PR<n>.json), so the repo carries its own
+// and query throughput. The result is a JSON document, the repo's own
 // cross-backend evidence for the paper's central comparison.
 
 // BackendStats is one backend's score on one query battery.

@@ -1,134 +1,19 @@
-// Package loadgen is the concurrent query-load harness behind `sasbench
-// -load` and the serving benchmarks: deterministic box mixes drawn from the
-// same distributions as internal/workload, a lock-free log-linear latency
-// histogram, and a fixed-concurrency runner that reports qps and tail
-// quantiles (p50/p99/p999).
-//
-// The package is transport-agnostic: Run drives any `func(worker, seq int)
-// error`, so the same harness measures a live sasserve over TCP (sasbench)
-// and an in-process httptest server (cmd/sasserve benchmarks) without
-// caring which. Everything is seeded — two runs with the same options issue
-// the same request sequence — because the point of the harness is comparing
-// configurations (cache on vs off, concurrency 4 vs 16), and a load
-// generator that randomizes between runs measures its own noise.
+// Package loadgen builds the seeded query mixes that perfbench replays
+// against a running sasserve: uniform-area boxes drawn from the same shape
+// as internal/workload, rendered into the server's range syntax, and a
+// Zipf rank-frequency distribution that concentrates traffic on a few hot
+// ranges, the access pattern the answer cache exists for. Everything is
+// deterministic in its seed, so two runs with the same options issue the
+// same request sequence; a load generator that randomizes between runs
+// measures its own noise.
 package loadgen
 
 import (
-	"errors"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"structaware/internal/structure"
 	"structaware/internal/xmath"
 )
-
-// Options configures one load run.
-type Options struct {
-	// Concurrency is the number of worker goroutines (minimum 1).
-	Concurrency int
-	// Requests stops the run after this many calls (0 = unbounded; then
-	// Duration must be set).
-	Requests int
-	// Duration stops the run after this wall time (0 = unbounded; then
-	// Requests must be set). Requests already in flight complete.
-	Duration time.Duration
-}
-
-// Result is the outcome of a run: throughput, tail latencies, and the full
-// histogram for callers that want other quantiles.
-type Result struct {
-	Requests int           // calls completed (including errors)
-	Errors   int           // calls that returned a non-nil error
-	Elapsed  time.Duration // wall time of the whole run
-	QPS      float64       // Requests / Elapsed
-	P50      time.Duration
-	P99      time.Duration
-	P999     time.Duration
-	Hist     *Hist
-}
-
-// Run issues calls to do from opts.Concurrency workers until the request
-// count or duration budget is exhausted, timing every call. do receives its
-// worker id (for per-worker state such as an http.Client) and the global
-// request sequence number (for picking the next query from a mix); it is
-// called concurrently from all workers. Latencies of failed calls still
-// count — a server melting down into fast errors should not look fast.
-func Run(opts Options, do func(worker, seq int) error) (Result, error) {
-	if opts.Concurrency < 1 {
-		opts.Concurrency = 1
-	}
-	if opts.Requests <= 0 && opts.Duration <= 0 {
-		return Result{}, errors.New("loadgen: need a request count or a duration")
-	}
-	limit := int64(opts.Requests)
-	if limit <= 0 {
-		limit = 1<<63 - 1
-	}
-	var deadline time.Time
-	if opts.Duration > 0 {
-		deadline = time.Now().Add(opts.Duration)
-	}
-	var (
-		next   atomic.Int64 // next sequence number to claim
-		errs   atomic.Int64
-		stop   atomic.Bool
-		wg     sync.WaitGroup
-		hists  = make([]*Hist, opts.Concurrency)
-		counts = make([]int64, opts.Concurrency)
-	)
-	start := time.Now()
-	for w := 0; w < opts.Concurrency; w++ {
-		hists[w] = NewHist()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := hists[w]
-			for !stop.Load() {
-				seq := next.Add(1) - 1
-				if seq >= limit {
-					return
-				}
-				t0 := time.Now()
-				err := do(w, int(seq))
-				h.Record(time.Since(t0))
-				counts[w]++
-				if err != nil {
-					errs.Add(1)
-				}
-				// Check the clock after the call, not before: every claimed
-				// sequence number is executed exactly once.
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					stop.Store(true)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	total := hists[0]
-	n := counts[0]
-	for w := 1; w < opts.Concurrency; w++ {
-		total.Merge(hists[w])
-		n += counts[w]
-	}
-	res := Result{
-		Requests: int(n),
-		Errors:   int(errs.Load()),
-		Elapsed:  elapsed,
-		Hist:     total,
-		P50:      total.Quantile(0.50),
-		P99:      total.Quantile(0.99),
-		P999:     total.Quantile(0.999),
-	}
-	if elapsed > 0 {
-		res.QPS = float64(res.Requests) / elapsed.Seconds()
-	}
-	return res, nil
-}
-
-// ---- query mixes -------------------------------------------------------------
 
 // AreaBoxes draws n random boxes over the given per-axis domain sizes with
 // extents uniform in [1, maxFrac·domain] — the same "uniform area" shape as

@@ -1,143 +1,10 @@
 package loadgen
 
 import (
-	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"structaware/internal/xmath"
 )
-
-func TestHistExactBelowLinear(t *testing.T) {
-	h := NewHist()
-	for v := 0; v < histLinear; v++ {
-		h.Record(time.Duration(v))
-	}
-	if h.Count() != histLinear {
-		t.Fatalf("count %d", h.Count())
-	}
-	// Every small value is its own bucket, so quantiles are exact.
-	if got := h.Quantile(0.5); got != 31 {
-		t.Fatalf("p50 of 0..63 = %v, want 31ns", got)
-	}
-	if got := h.Quantile(1.0); got != 63 {
-		t.Fatalf("p100 = %v, want 63ns", got)
-	}
-}
-
-func TestHistQuantileWithinBucketError(t *testing.T) {
-	h := NewHist()
-	// 1000 observations at 1ms, 10 at 100ms: p99 must land in the 1ms
-	// bucket, p999+ in the 100ms bucket, both within 1/histSub relative.
-	for i := 0; i < 990; i++ {
-		h.Record(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Record(100 * time.Millisecond)
-	}
-	check := func(q float64, want time.Duration) {
-		t.Helper()
-		got := h.Quantile(q)
-		lo := want
-		hi := want + want/histSub + 1
-		if got < lo || got > hi {
-			t.Fatalf("q%v = %v, want within [%v, %v]", q, got, lo, hi)
-		}
-	}
-	check(0.5, time.Millisecond)
-	check(0.99, time.Millisecond)
-	check(0.999, 100*time.Millisecond)
-	if h.Max() != 100*time.Millisecond {
-		t.Fatalf("max %v", h.Max())
-	}
-}
-
-func TestHistMerge(t *testing.T) {
-	a, b := NewHist(), NewHist()
-	a.Record(time.Microsecond)
-	b.Record(time.Second)
-	a.Merge(b)
-	if a.Count() != 2 || a.Max() != time.Second {
-		t.Fatalf("merged count %d max %v", a.Count(), a.Max())
-	}
-	if got := a.Quantile(1.0); got != time.Second {
-		t.Fatalf("merged p100 %v", got)
-	}
-}
-
-func TestBucketRoundTrip(t *testing.T) {
-	// bucketUpper(bucketOf(v)) >= v, with bounded relative slack.
-	for _, v := range []int64{0, 1, 63, 64, 65, 1000, 1 << 20, 1<<40 + 12345, 1 << 62} {
-		b := bucketOf(v)
-		u := bucketUpper(b)
-		if u < v {
-			t.Fatalf("upper(%d) = %d < value", v, u)
-		}
-		if v >= histLinear && float64(u-v) > float64(v)/histSub+1 {
-			t.Fatalf("upper(%d) = %d, slack too large", v, u)
-		}
-	}
-}
-
-func TestRunFixedRequestCount(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	res, err := Run(Options{Concurrency: 4, Requests: 100}, func(w, seq int) error {
-		mu.Lock()
-		if seen[seq] {
-			mu.Unlock()
-			return errors.New("duplicate sequence")
-		}
-		seen[seq] = true
-		mu.Unlock()
-		if seq%10 == 3 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 100 {
-		t.Fatalf("requests %d, want 100", res.Requests)
-	}
-	if res.Errors != 10 {
-		t.Fatalf("errors %d, want 10", res.Errors)
-	}
-	if len(seen) != 100 {
-		t.Fatalf("executed %d distinct sequences", len(seen))
-	}
-	if res.QPS <= 0 || res.Hist.Count() != 100 {
-		t.Fatalf("qps %v hist %d", res.QPS, res.Hist.Count())
-	}
-	if res.P50 > res.P99 || res.P99 > res.P999 {
-		t.Fatalf("quantiles not monotone: %v %v %v", res.P50, res.P99, res.P999)
-	}
-}
-
-func TestRunDurationStops(t *testing.T) {
-	start := time.Now()
-	res, err := Run(Options{Concurrency: 2, Duration: 50 * time.Millisecond}, func(w, seq int) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests == 0 {
-		t.Fatal("no requests completed")
-	}
-	if e := time.Since(start); e > 5*time.Second {
-		t.Fatalf("run did not stop: %v", e)
-	}
-}
-
-func TestRunRequiresBudget(t *testing.T) {
-	if _, err := Run(Options{Concurrency: 1}, func(w, seq int) error { return nil }); err == nil {
-		t.Fatal("unbounded run accepted")
-	}
-}
 
 func TestAreaBoxesStayInDomain(t *testing.T) {
 	domains := []uint64{1024, 60}
